@@ -15,7 +15,7 @@ from .constraint import (EquivariantBasis, assemble_equivariant_basis,
                          constraint_block, constraint_residual, materialize,
                          unvec, vec)
 from .dynamics import (Dataset, DataSpec, GpSmoothConfig, NoiseSpec,
-                       OdeSystem, SYSTEMS, SystemOracle, Trajectory,
+                       OdeSystem, SYSTEMS, SindyModel, Trajectory,
                        add_noise, estimate_derivatives, get_system,
                        gp_smooth, gp_smooth_series, load_dataset,
                        make_dataset, rk4_integrate, sample_initial,

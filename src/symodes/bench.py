@@ -18,16 +18,18 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__ as _tool_version
-from .discover import (DiscoveryConfig, GpResult, SindyModel, equiv_c_fit,
-                       equiv_r_fit, gp_evaluate, gp_fit, stlsq)
-from .dynamics import (INTERNAL_DT, NoiseSpec, get_system, make_dataset)
+from .discover import (DiscoveryConfig, GpResult, equiv_c_fit, equiv_r_fit,
+                       gp_fit, stlsq)
+from .dynamics import (INTERNAL_DT, NoiseSpec, SindyModel, get_system,
+                       make_dataset)
 from .integrate import rk4_final
 from .library import canonicalize
 
@@ -55,7 +57,7 @@ def term_set(model, lib, min_coef=0.0):
     min_coef are dropped first (a final guard; the fitters already threshold).
     """
     if isinstance(model, SindyModel):
-        per_eq = [canonicalize_row(model.lib, row) for row in model.W]
+        per_eq = model.coefficients()
     else:
         exprs = model.exprs if isinstance(model, GpResult) else list(model)
         per_eq = [canonicalize(e, lib) for e in exprs]
@@ -68,10 +70,6 @@ def term_set(model, lib, min_coef=0.0):
                 if abs(v) >= min_coef and v != 0.0}
         out.append((tuple(sorted(kept)), kept))
     return out
-
-
-def canonicalize_row(lib, row):
-    return {lib.terms[mu]: float(c) for mu, c in enumerate(row) if c != 0.0}
 
 
 def success(discovered, truth):
@@ -93,9 +91,13 @@ def success(discovered, truth):
 
 
 def _sq_err(coeffs, truth_eq):
-    """Sum over the truth terms of (theta - theta_hat)^2; missing terms = 0."""
-    return sum((truth_eq[label] - coeffs.get(label, 0.0)) ** 2
-               for label in truth_eq)
+    """Sum over the truth terms of (theta - theta_hat)^2; missing terms = 0.
+
+    fsum makes the result independent of the order of the truth terms, which
+    a report reloaded from sorted JSON does not keep.
+    """
+    return math.fsum((truth_eq[label] - coeffs.get(label, 0.0)) ** 2
+                     for label in truth_eq)
 
 
 def rmse_params(records, truth_coeffs, mode="successful", scope="joint"):
@@ -209,16 +211,6 @@ class BenchConfig:
             raise ValueError("runs must be at least 1")
 
 
-class _ExprField:
-    """Minimal dynamics wrapper for integrating GP expression trees."""
-
-    def __init__(self, exprs):
-        self.exprs = exprs
-
-    def h(self, X):
-        return np.stack([gp_evaluate(e, X) for e in self.exprs], axis=-1)
-
-
 def _fit_method(method, ds, lib, gens, dcfg):
     if method == "sindy":
         X, dX = ds.regression_arrays("train")
@@ -289,10 +281,8 @@ def _bench_worker(args):
                           for s in labels],
             "coefficients": coeffs,
             "eq_success": flags, "joint_success": joint, "error": ""})
-        field = model if isinstance(model, SindyModel) else \
-            _ExprField(model.exprs)
         if len(ics):
-            ltp[method] = long_term_error(field, system, ics, horizon,
+            ltp[method] = long_term_error(model, system, ics, horizon,
                                           checkpoints)
     return records, ltp, timings, checkpoints
 

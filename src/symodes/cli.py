@@ -24,11 +24,10 @@ from . import __version__
 from .bench import (METHODS, BenchConfig, _fit_method, emit_report,
                     run_benchmark)
 from .constraint import assemble_equivariant_basis, materialize
-from .discover import (DiscoveryConfig, GpConfig, OptimizerConfig,
-                       SindyModel, equation_strings)
-from .dynamics import (SYSTEMS, GpSmoothConfig, NoiseSpec, get_system,
-                       load_dataset, make_dataset, sample_initial,
-                       save_dataset, split_rng)
+from .discover import DiscoveryConfig, GpConfig, OptimizerConfig
+from .dynamics import (SYSTEMS, NoiseSpec, SindyModel, equation_strings,
+                       get_system, load_dataset, make_dataset,
+                       sample_initial, save_dataset, split_rng)
 from .library import build_library
 from .symmetry import Generator, check_infinitesimal_criterion
 
@@ -584,9 +583,6 @@ def main(argv=None):
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

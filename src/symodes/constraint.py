@@ -12,13 +12,15 @@ one dp x dp block per generator.  Stacking the blocks and taking the SVD
 nullspace yields an orthonormal basis Q for all exactly-equivariant
 coefficient matrices; every W = unvec(Q beta) satisfies the constraints to
 solver precision, which is how the constrained discovery engine searches only
-symmetric models.  Individual coefficients can be pinned to zero by appending
-unit rows, which is what sequential thresholding uses.
+symmetric models.  Individual coefficients can be pinned to zero by deleting
+their columns from the stacked matrix: the nullspace is taken over the free
+coefficients only and Q holds exact zero rows at the pinned ones, which is
+what sequential thresholding uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +33,10 @@ NULLSPACE_RTOL = 1e-10
 class EquivariantBasis:
     """Nullspace basis of the stacked constraint matrix.
 
-    Q has shape (d*p, r) with orthonormal columns; singular_values are those
-    of the stacked constraint matrix, descending.
+    C stacks one block per generator over all d*p coefficients.  Q has shape
+    (d*p, r) with orthonormal columns and exact zero rows at the pins;
+    singular_values are those of C restricted to the unpinned columns,
+    descending and zero-padded to one per unpinned coefficient.
     """
 
     lib: object
@@ -75,13 +79,14 @@ def constraint_block(M, L):
 
 
 def assemble_equivariant_basis(lib, generators, pins=()):
-    """Stack one constraint block per linear generator, plus pin rows.
+    """Stack one constraint block per linear generator and take its nullspace.
 
     pins is an iterable of (row, column) coefficient positions forced to
-    zero.  The nullspace threshold is NULLSPACE_RTOL times the largest
-    singular value.
+    zero; their columns are deleted before the SVD.  The nullspace threshold
+    is NULLSPACE_RTOL times the largest singular value.
     """
     generators = tuple(generators)
+    pins = tuple(sorted(set((int(i), int(mu)) for i, mu in pins)))
     if not generators and not pins:
         raise ValueError("need at least one generator or pin")
     d, p = lib.dim, lib.size
@@ -93,20 +98,19 @@ def assemble_equivariant_basis(lib, generators, pins=()):
                 f"got {gen!r}")
         M = generator_structure_matrix(lib, gen.matrix)
         blocks.append(constraint_block(M, gen.matrix))
-    pins = tuple(sorted(set((int(i), int(mu)) for i, mu in pins)))
+    free = np.ones(d * p, dtype=bool)
     for i, mu in pins:
         if not (0 <= i < d and 0 <= mu < p):
             raise ValueError(f"pin {(i, mu)} out of range for ({d}, {p})")
-        row = np.zeros((1, d * p))
-        row[0, i + d * mu] = 1.0
-        blocks.append(row)
-    C = np.vstack(blocks)
-    _, s, Vt = np.linalg.svd(C, full_matrices=True)
+        free[i + d * mu] = False
+    C = np.vstack(blocks) if blocks else np.zeros((0, d * p))
+    _, s, Vt = np.linalg.svd(C[:, free], full_matrices=True)
     smax = s[0] if len(s) else 0.0
     tol = NULLSPACE_RTOL * smax
     rank = int(np.sum(s > tol))
-    Q = Vt[rank:].T
-    sigma = np.zeros(d * p)
+    Q = np.zeros((d * p, Vt.shape[0] - rank))
+    Q[free] = Vt[rank:].T
+    sigma = np.zeros(Vt.shape[0])
     sigma[:len(s)] = s
     return EquivariantBasis(lib=lib, generators=generators, C=C, Q=Q,
                             singular_values=sigma, pins=pins)

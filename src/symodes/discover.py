@@ -5,8 +5,9 @@ Four fitters share the data interface (a Dataset or an (X, dX) pair):
 * stlsq           -- sequentially thresholded least squares on W.
 * equiv_c_fit     -- least squares restricted to the nullspace of the
                      symmetry constraint, with thresholding realized by
-                     pinning entries into the constraint itself so every
-                     intermediate W stays exactly equivariant.
+                     pinning entries: their columns are deleted from the
+                     constraint, so pinned entries are exactly zero and
+                     every intermediate W stays exactly equivariant.
 * equiv_r_fit     -- L-BFGS-B on the masked entries of W minimizing
                      (1/N)||dX - W Theta||_F^2 + lambda * symmetry loss,
                      wrapped in the same sequential thresholding.
@@ -15,21 +16,24 @@ Four fitters share the data interface (a Dataset or an (X, dX) pair):
                      finite-transform penalty computed against transformed
                      data pairs that are built once up front.
 
-All fitters are deterministic given (data, config, seed).
+The three W-linear fitters share one sequential-thresholding loop.  The
+model class SindyModel lives in dynamics, where it also serves as the
+registry systems' true dynamics.  All fitters are deterministic given
+(data, config, seed).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 
 from .constraint import assemble_equivariant_basis, materialize
-from .dynamics import Dataset, split_rng
-from .expressions import Expr, expand, to_string
-from .integrate import rk4_final, rk4_flow_jvp
+# equation_strings is re-exported: callers import it with SindyModel
+from .dynamics import Dataset, SindyModel, equation_strings, split_rng
+from .expressions import Expr, evaluate, expand, to_string
 from .library import canonicalize
 from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError, GroupElement,
                        symmetry_loss_grad)
@@ -82,71 +86,6 @@ class DiscoveryConfig:
             raise ValueError("lambda_symm must be nonnegative")
 
 
-@dataclass
-class SindyModel:
-    """Linear-in-library dynamics h(x) = W Theta(x)."""
-
-    lib: object
-    W: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        if self.W.ndim != 2 or self.W.shape[1] != self.lib.size:
-            raise ValueError(
-                f"W must be (d, {self.lib.size}), got {self.W.shape}")
-
-    @property
-    def dim(self):
-        return self.W.shape[0]
-
-    def h(self, X):
-        return self.lib.evaluate(X) @ self.W.T
-
-    def h_jacobian(self, X):
-        return np.einsum("ip,...pj->...ij", self.W, self.lib.jacobian(X))
-
-    def flow(self, X, tau, steps=DEFAULT_FLOW_STEPS):
-        return rk4_final(self.h, np.atleast_2d(np.asarray(X, float)),
-                         tau, steps)
-
-    def flow_jvp(self, X, U, tau, steps=DEFAULT_FLOW_STEPS):
-        return rk4_flow_jvp(self.h, self.h_jacobian,
-                            np.atleast_2d(np.asarray(X, float)),
-                            np.atleast_2d(np.asarray(U, float)), tau, steps)
-
-    def coefficients(self):
-        """Per-equation {TermKey: value} over the nonzero entries."""
-        out = []
-        for row in self.W:
-            out.append({self.lib.terms[mu]: float(c)
-                        for mu, c in enumerate(row) if c != 0.0})
-        return out
-
-    def equations(self):
-        return equation_strings(self.lib, self.W)
-
-
-def equation_strings(lib, W):
-    """Human-readable "xi' = ..." lines for a coefficient matrix."""
-    labels = lib.labels()
-    lines = []
-    for i, row in enumerate(np.asarray(W, dtype=float)):
-        parts = []
-        for mu, c in enumerate(row):
-            if c == 0.0:
-                continue
-            mag = f"{abs(c):.6g}"
-            body = mag if labels[mu] == "1" else f"{mag}*{labels[mu]}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        if not parts:
-            lines.append(f"x{i+1}' = 0")
-            continue
-        head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-        lines.append(f"x{i+1}' = " + " ".join([head] + parts[1:]))
-    return lines
-
-
 def _regression_data(dataset, split="train"):
     if isinstance(dataset, Dataset):
         return dataset.regression_arrays(split)
@@ -161,7 +100,29 @@ def _validation_data(dataset):
     return None
 
 
-# -- sequential thresholded least squares --------------------------------------
+# -- sequential thresholding -----------------------------------------------------
+
+
+def _threshold_rounds(fit, shape, threshold, max_rounds):
+    """Sequential thresholding shared by the W-linear fitters.
+
+    fit(active) returns a W of the given shape that is zero outside the
+    boolean support `active`.  Each round drops the active entries with
+    |W| < threshold and refits on the rest, so supports only shrink; at most
+    1 + max(1, max_rounds) fits run, and a zero threshold is a single fit.
+    Returns (W, active).
+    """
+    active = np.ones(shape, dtype=bool)
+    W = fit(active)
+    if threshold == 0.0:
+        return W, active
+    for _ in range(max(1, int(max_rounds))):
+        small = active & (np.abs(W) < threshold)
+        if not small.any():
+            break
+        active = active & ~small
+        W = fit(active)
+    return W, active
 
 
 def stlsq(Theta, dX, threshold, max_rounds=10):
@@ -182,9 +143,8 @@ def stlsq(Theta, dX, threshold, max_rounds=10):
     if N < p:
         warnings.warn(f"only {N} samples for {p} library terms; the fit is "
                       "underdetermined", stacklevel=2)
-    active = np.ones((d, p), dtype=bool)
 
-    def refit():
+    def refit(active):
         W = np.zeros((d, p))
         for i in range(d):
             idx = np.flatnonzero(active[i])
@@ -195,20 +155,11 @@ def stlsq(Theta, dX, threshold, max_rounds=10):
             if rank < idx.size:
                 warnings.warn("rank-deficient support in dimension "
                               f"{i + 1}: using the minimum-norm solution",
-                              stacklevel=3)
+                              stacklevel=4)
             W[i, idx] = coef
         return W
 
-    W = refit()
-    if threshold == 0.0:
-        return W
-    for _ in range(max(1, int(max_rounds))):
-        small = active & (np.abs(W) < threshold)
-        if not small.any():
-            break
-        active &= ~small
-        W = refit()
-    return W
+    return _threshold_rounds(refit, (d, p), threshold, max_rounds)[0]
 
 
 # -- constrained regression in the equivariant subspace -------------------------
@@ -218,39 +169,34 @@ def equiv_c_fit(dataset, lib, gens, cfg=None):
     """Least squares over the symmetry-constrained coefficient subspace.
 
     The regression unknown is beta with W = unvec(Q beta), so the problem
-    stays linear.  Thresholding pins small entries by appending unit rows to
-    the constraint matrix and recomputing the nullspace, which keeps every
-    intermediate W exactly equivariant.  A collapsed nullspace returns W = 0.
+    stays linear.  Thresholding pins small entries: the nullspace is
+    recomputed with their columns deleted from the constraint matrix, so
+    pinned entries come back exactly zero and every intermediate W is
+    exactly equivariant.  A collapsed nullspace returns W = 0.
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
     Theta = lib.evaluate(X)
     d = dX.shape[1]
     p = lib.size
-    pinned = set()
     nullities = []
-    W = np.zeros((d, p))
-    for _ in range(max(1, cfg.max_rounds) + 1):
+
+    def fit(active):
         basis = assemble_equivariant_basis(lib, gens,
-                                           pins=tuple(sorted(pinned)))
+                                           pins=np.argwhere(~active))
         r = basis.nullity
         nullities.append(r)
         if r == 0:
-            W = np.zeros((d, p))
-            break
+            return np.zeros((d, p))
         A = np.einsum("nm,mir->nir", Theta, basis.Q.reshape(p, d, r))
         beta, *_ = np.linalg.lstsq(A.reshape(-1, r), dX.reshape(-1),
                                    rcond=None)
-        W = materialize(basis, beta)
-        if cfg.threshold == 0.0:
-            break
-        small = {(i, mu) for i in range(d) for mu in range(p)
-                 if abs(W[i, mu]) < cfg.threshold and (i, mu) not in pinned}
-        if not small:
-            break
-        pinned |= small
-    prov = {"method": "equiv-c", "nullities": nullities,
-            "pins": sorted(pinned), "threshold": cfg.threshold}
+        return materialize(basis, beta)
+
+    W, active = _threshold_rounds(fit, (d, p), cfg.threshold, cfg.max_rounds)
+    pins = [(int(i), int(mu)) for i, mu in np.argwhere(~active)]
+    prov = {"method": "equiv-c", "nullities": nullities, "pins": pins,
+            "threshold": cfg.threshold}
     return SindyModel(lib, W, provenance=prov)
 
 
@@ -264,15 +210,14 @@ class _NonFiniteLoss(RuntimeError):
 def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
     """One L-BFGS-B solve over the active entries of W.
 
-    Returns (W, converged, objective).  The per-iteration callback checks
-    that the objective never increases across accepted steps; the best
-    iterate seen is returned even if the optimizer stops early.
+    Returns (W, converged, objective).  The per-iteration callback raises
+    RuntimeError if the objective increases across an accepted step; the
+    best iterate seen is returned even if the optimizer stops early.
     """
     d, p = W0.shape
     N = Theta.shape[0]
     mask = active
     best = {"f": np.inf, "w": None}
-    seen = {}
 
     def objective(w):
         W = np.zeros((d, p))
@@ -294,19 +239,16 @@ def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
         if f < best["f"]:
             best["f"] = f
             best["w"] = w.copy()
-        seen[w.tobytes()] = f
         return f, G[mask]
 
-    prev = [None]
+    prev = None
 
-    def callback(xk):
-        fk = seen.get(np.asarray(xk).tobytes())
-        if fk is None:
-            return
-        if prev[0] is not None:
-            assert fk <= prev[0] + 1e-9 * (1.0 + abs(prev[0])), \
-                "objective increased across an accepted step"
-        prev[0] = fk
+    def callback(intermediate_result):
+        nonlocal prev
+        fk = float(intermediate_result.fun)
+        if prev is not None and fk > prev + 1e-9 * (1.0 + abs(prev)):
+            raise RuntimeError("objective increased across an accepted step")
+        prev = fk
 
     res = scipy.optimize.minimize(
         objective, W0[mask], jac=True, method="L-BFGS-B", callback=callback,
@@ -326,21 +268,21 @@ def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
 def _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb):
     d = dX.shape[1]
     p = lib.size
-    active = np.ones((d, p), dtype=bool)
-    W = stlsq(Theta, dX, 0.0)
+    W_prev = stlsq(Theta, dX, 0.0)
     lam_eff = lam
     halved = False
     converged = True
     rounds = 0
-    for _ in range(max(1, cfg.max_rounds)):
+
+    def fit(active):
+        nonlocal W_prev, lam_eff, halved, converged, rounds
         rounds += 1
         if not active.any():
-            W = np.zeros((d, p))
-            break
+            return np.zeros((d, p))
         while True:
             try:
-                W, ok, f = _masked_minimize(W * active, active, Theta, dX,
-                                            lib, gens, lam_eff, cfg, Xb)
+                W, ok, _ = _masked_minimize(W_prev * active, active, Theta,
+                                            dX, lib, gens, lam_eff, cfg, Xb)
                 break
             except _NonFiniteLoss:
                 if halved or lam_eff == 0.0:
@@ -348,13 +290,10 @@ def _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb):
                 lam_eff *= 0.5
                 halved = True
         converged = converged and ok
-        if cfg.threshold == 0.0:
-            break
-        small = active & (np.abs(W) < cfg.threshold)
-        if not small.any():
-            break
-        active &= ~small
-        W = W * active
+        W_prev = W
+        return W
+
+    W, _ = _threshold_rounds(fit, (d, p), cfg.threshold, cfg.max_rounds)
     return W, {"rounds": rounds, "lambda": lam_eff, "halved": halved,
                "converged": converged}
 
@@ -405,32 +344,7 @@ _GP_BINOPS = {"+": Expr.add, "-": Expr.sub, "*": Expr.mul, "/": Expr.div}
 
 def gp_evaluate(e, X):
     """Tree evaluation with protected division: any x/0 evaluates to 1."""
-    k = e.kind
-    if k == "const":
-        return np.full(X.shape[:-1], e.value, dtype=float)
-    if k == "var":
-        return X[..., e.value]
-    if k == "add":
-        return gp_evaluate(e.children[0], X) + gp_evaluate(e.children[1], X)
-    if k == "sub":
-        return gp_evaluate(e.children[0], X) - gp_evaluate(e.children[1], X)
-    if k == "mul":
-        return gp_evaluate(e.children[0], X) * gp_evaluate(e.children[1], X)
-    if k == "div":
-        num = gp_evaluate(e.children[0], X)
-        den = gp_evaluate(e.children[1], X)
-        zero = den == 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = num / np.where(zero, 1.0, den)
-        return np.where(zero, 1.0, out)
-    if k == "neg":
-        return -gp_evaluate(e.children[0], X)
-    if k == "exp":
-        with np.errstate(over="ignore"):
-            return np.exp(gp_evaluate(e.children[0], X))
-    if k == "pow":
-        return gp_evaluate(e.children[0], X) ** e.value
-    raise ValueError(f"unknown node kind {k!r}")
+    return evaluate(e, X, protected=True)
 
 
 def _random_tree(rng, dim, depth, ops, crange, full):
@@ -697,6 +611,10 @@ class GpResult:
 
     def __getitem__(self, i):
         return self.exprs[i]
+
+    def h(self, X):
+        """The discovered vector field at X of shape (..., d)."""
+        return np.stack([gp_evaluate(e, X) for e in self.exprs], axis=-1)
 
     def equations(self):
         return [f"x{i+1}' = {to_string(e)}"

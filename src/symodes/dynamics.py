@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__ as _tool_version
-from .expressions import parse, to_string
+from .expressions import parse
 from .integrate import rk4_final, rk4_flow_jvp, rk4_record
 from .library import build_library, canonicalize, m_theta
 from .symmetry import DEFAULT_FLOW_STEPS, Generator
@@ -135,17 +135,28 @@ class OdeSystem:
         return out
 
     def oracle(self, lib=None):
-        return SystemOracle(self, lib)
+        """The true dynamics as a W-linear model over the system's library."""
+        lib = lib or self.library()
+        return SindyModel(lib, self.truth_matrix(lib))
 
 
-class SystemOracle:
-    """Batch-evaluated dynamics of a registry system."""
+@dataclass
+class SindyModel:
+    """Linear-in-library dynamics h(x) = W Theta(x)."""
 
-    def __init__(self, system, lib=None):
-        self.system = system
-        self.dim = system.dim
-        self.lib = lib or system.library()
-        self.W = system.truth_matrix(self.lib)
+    lib: object
+    W: np.ndarray
+    provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.W = np.asarray(self.W, dtype=float)
+        if self.W.ndim != 2 or self.W.shape[1] != self.lib.size:
+            raise ValueError(
+                f"W must be (d, {self.lib.size}), got {self.W.shape}")
+
+    @property
+    def dim(self):
+        return self.W.shape[0]
 
     def h(self, X):
         return self.lib.evaluate(X) @ self.W.T
@@ -161,6 +172,37 @@ class SystemOracle:
         return rk4_flow_jvp(self.h, self.h_jacobian,
                             np.atleast_2d(np.asarray(X, float)),
                             np.atleast_2d(np.asarray(U, float)), tau, steps)
+
+    def coefficients(self):
+        """Per-equation {TermKey: value} over the nonzero entries."""
+        out = []
+        for row in self.W:
+            out.append({self.lib.terms[mu]: float(c)
+                        for mu, c in enumerate(row) if c != 0.0})
+        return out
+
+    def equations(self):
+        return equation_strings(self.lib, self.W)
+
+
+def equation_strings(lib, W):
+    """Human-readable "xi' = ..." lines for a coefficient matrix."""
+    labels = lib.labels()
+    lines = []
+    for i, row in enumerate(np.asarray(W, dtype=float)):
+        parts = []
+        for mu, c in enumerate(row):
+            if c == 0.0:
+                continue
+            mag = f"{abs(c):.6g}"
+            body = mag if labels[mu] == "1" else f"{mag}*{labels[mu]}"
+            parts.append(("- " if c < 0 else "+ ") + body)
+        if not parts:
+            lines.append(f"x{i+1}' = 0")
+            continue
+        head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
+        lines.append(f"x{i+1}' = " + " ".join([head] + parts[1:]))
+    return lines
 
 
 def _system(name, dim, rhs, generators, sampler, data, degree=2,
@@ -450,15 +492,19 @@ class Dataset:
         return self.splits["test"]
 
     def regression_arrays(self, split="train"):
-        """Stacked (X, dX) over a split, from smoothed states + derivatives."""
-        X = np.concatenate([tr.regression_states() for tr in
-                            self.splits[split]])
-        dX = np.concatenate([tr.derivs for tr in self.splits[split]])
-        return X, dX
+        """Stacked (X, dX) over a split, from smoothed states + derivatives.
 
-    def stacked_states(self, split="train"):
-        return np.concatenate([tr.regression_states() for tr in
-                               self.splits[split]])
+        A trajectory without derivatives (a split left unsmoothed) is
+        differentiated from its regression states, as
+        differentiate_trajectory does.
+        """
+        trajs = self.splits[split]
+        X = np.concatenate([tr.regression_states() for tr in trajs])
+        dX = np.concatenate([
+            tr.derivs if tr.derivs is not None
+            else estimate_derivatives(tr.regression_states(), tr.dt)
+            for tr in trajs])
+        return X, dX
 
 
 def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
@@ -468,8 +514,12 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
 
     Any of the published conventions can be overridden.  Trajectory j (in
     global order train, val, test) draws its initial condition and then its
-    noise from split_rng(seed, j); integration runs batched per split, which
-    is arithmetic-identical to integrating one trajectory at a time.
+    noise from split_rng(seed, j), so the random streams do not depend on
+    how trajectories are batched.  Integration runs batched per split; the
+    states are not bit-identical to integrating one trajectory at a time,
+    because Theta @ W.T goes through BLAS, whose summation order depends on
+    the batch shape (they differ by under 1e-15 on oscillator, seir and
+    glycolytic at the published conventions).
     """
     if isinstance(system, str):
         system = get_system(system)

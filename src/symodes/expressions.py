@@ -13,7 +13,8 @@ Grammar accepted by :func:`parse` (whitespace is insignificant):
 Exponents are literal nonnegative integers; anything else after "^" is a
 syntax error.  Evaluation follows IEEE semantics: division by zero and
 overflow produce non-finite values instead of raising, so callers decide how
-to treat them.  Nodes are immutable; rewriting always builds new trees.
+to treat them (the GP engine asks for protected division instead, where any
+x/0 is 1).  Nodes are immutable; rewriting always builds new trees.
 """
 
 from __future__ import annotations
@@ -119,14 +120,6 @@ class Expr:
             return 1
         return 1 + max(c.depth() for c in self.children)
 
-    def max_var(self):
-        """Largest 0-based variable index used, or -1 if constant."""
-        if self.kind == "var":
-            return self.value
-        if not self.children:
-            return -1
-        return max(c.max_var() for c in self.children)
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
@@ -139,42 +132,49 @@ class Expr:
         return f"Expr<{to_string(self)}>"
 
 
-def evaluate(e, x):
+def evaluate(e, x, protected=False):
     """Evaluate e at points x of shape (..., d); returns shape (...).
 
     Non-finite intermediate values (division by zero, exp overflow) propagate
-    as inf/nan; nothing raises.
+    as inf/nan; nothing raises.  With protected, any division by zero,
+    including 0/0, evaluates to 1 instead.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, x)
+        out = _eval(e, x, protected)
     if np.ndim(out) == 0 and x.ndim == 1:
         return float(out)
     return out
 
 
-def _eval(e, x):
+def _eval(e, x, protected):
     k = e.kind
     if k == "const":
         return np.full(x.shape[:-1], e.value) if x.ndim > 1 else e.value
     if k == "var":
         return x[..., e.value]
     if k == "add":
-        return _eval(e.children[0], x) + _eval(e.children[1], x)
+        return (_eval(e.children[0], x, protected)
+                + _eval(e.children[1], x, protected))
     if k == "sub":
-        return _eval(e.children[0], x) - _eval(e.children[1], x)
+        return (_eval(e.children[0], x, protected)
+                - _eval(e.children[1], x, protected))
     if k == "mul":
-        return _eval(e.children[0], x) * _eval(e.children[1], x)
+        return (_eval(e.children[0], x, protected)
+                * _eval(e.children[1], x, protected))
     if k == "div":
-        num = _eval(e.children[0], x)
-        den = _eval(e.children[1], x)
-        return np.divide(num, den)
+        num = _eval(e.children[0], x, protected)
+        den = _eval(e.children[1], x, protected)
+        if not protected:
+            return np.divide(num, den)
+        zero = den == 0.0
+        return np.where(zero, 1.0, num / np.where(zero, 1.0, den))
     if k == "neg":
-        return -_eval(e.children[0], x)
+        return -_eval(e.children[0], x, protected)
     if k == "exp":
-        return np.exp(_eval(e.children[0], x))
+        return np.exp(_eval(e.children[0], x, protected))
     if k == "pow":
-        base = np.asarray(_eval(e.children[0], x))
+        base = np.asarray(_eval(e.children[0], x, protected))
         return base ** e.value
     raise AssertionError(k)
 
@@ -442,11 +442,6 @@ def differentiate(e, i):
             return _ZERO
         return _mul(_mul(Expr.const(float(n)), _pow(a, n - 1)), d)
     raise AssertionError(k)
-
-
-def gradient(e, dim):
-    """All partial derivatives of e as a list of Exprs."""
-    return [differentiate(e, i) for i in range(dim)]
 
 
 # -- polynomial/exponential expansion ----------------------------------------

@@ -31,14 +31,12 @@ values (finite differences appear only in tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 import scipy.linalg
 
-from .expressions import Expr, differentiate, parse, to_string
-from .integrate import (IntegrationError, rk4_final, rk4_flow_jacobian,
-                        rk4_flow_jvp, rk4_tree)
+from .expressions import differentiate, parse, to_string
+from .integrate import IntegrationError, rk4_final, rk4_flow_jacobian, rk4_tree
 
 DENOM_TOL = 1e-30
 DEFAULT_EPS = 0.1
@@ -188,27 +186,6 @@ def infinitesimal_action(gen, X):
     return gen(X), gen.jacobian(X)
 
 
-@runtime_checkable
-class DynamicsOracle(Protocol):
-    """What the losses need from a dynamical system.
-
-    h and h_jacobian evaluate the vector field and its state Jacobian at a
-    batch of points; flow and flow_jvp integrate the dynamics for time tau
-    (flow_jvp also pushes a tangent vector through the variational equation
-    and returns both endpoint and pushed vector).
-    """
-
-    dim: int
-
-    def h(self, X): ...
-
-    def h_jacobian(self, X): ...
-
-    def flow(self, X, tau, steps=DEFAULT_FLOW_STEPS): ...
-
-    def flow_jvp(self, X, U, tau, steps=DEFAULT_FLOW_STEPS): ...
-
-
 def check_infinitesimal_criterion(oracle, generators, points, tol=1e-8):
     """Normalized commutator residuals |J_h v - J_v h| / (1 + |J_v h|).
 
@@ -244,7 +221,11 @@ def check_infinitesimal_criterion(oracle, generators, points, tol=1e-8):
     }
 
 
-# -- loss values (any DynamicsOracle) -----------------------------------------
+# -- loss values ---------------------------------------------------------------
+#
+# The value losses take any dynamics object that provides what they call on a
+# batch of points: h and h_jacobian (igie), h (fgie), flow_jvp (igfe) or flow
+# (fgfe).  SindyModel provides all four.
 
 
 @dataclass

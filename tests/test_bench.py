@@ -218,6 +218,73 @@ def test_emit_report_tables_and_na_cells(tmp_path):
     assert back["aggregates"].keys() == report["aggregates"].keys()
 
 
+def test_load_report_accepts_truth_terms_in_sorted_order(tmp_path):
+    # report.json is written with sorted keys, so the truth terms come back
+    # in another order than the library's; the audit must still match.
+    truth = [{"x2": 0.1, "x1^2": 0.1, "x1*x2": 0.3}]    # library order
+    order = list(truth[0])
+    assert order != sorted(order)
+    naive = [sum(truth[0][label] ** 2 for label in labels)
+             for labels in (order, sorted(order))]
+    assert naive[0] != naive[1]
+    recs = [record("m", [{}], [sorted(order)])]
+    report = {"truth": {"term_sets": [sorted(order)], "coefficients": truth},
+              "records": recs, "aggregates": aggregate_records(recs, truth),
+              "ltp": {}}
+    emit_report(report, str(tmp_path))
+    back = load_report(str(tmp_path / "report.json"))
+    assert back["aggregates"] == report["aggregates"]
+
+
+def test_benchmark_hooks_find_every_patched_name():
+    # perfbench/run.py traces symodes by swapping module globals and class
+    # attributes as their callers look them up; a rename must fail here, not
+    # silently drop a layer from the benchmark.
+    import os
+    import sys
+
+    import symodes.discover
+    import symodes.dynamics
+    import symodes.expressions
+    import symodes.library
+    from symodes import bench
+
+    here = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    saved_env, saved_path = dict(os.environ), list(sys.path)
+    try:
+        sys.path.insert(0, here)
+        import run
+        import tracer
+    finally:
+        os.environ.clear()
+        os.environ.update(saved_env)
+        sys.path[:] = saved_path
+    mods = {"bench": bench, "dynamics": symodes.dynamics,
+            "discover": symodes.discover, "library": symodes.library,
+            "expressions": symodes.expressions}
+    T = tracer.Tracer()
+    captured = {"dataset_s": [], "datasets": [], "gp": {}}
+    triples = run.hooks(mods, T, captured)
+    for owner, attr, _ in triples:
+        assert attr in owner.__dict__, (owner, attr)
+    # The fitters call the traced names: one basis span per equiv-c round.
+    system = get_system("oscillator")
+    lib = system.library()
+    ds = symodes.dynamics.make_dataset(system, seed=0, n_samples=40,
+                                       counts=(3, 0, 0),
+                                       noise=NoiseSpec("none", 0.0))
+    cfg = bench.DiscoveryConfig(threshold=0.05)
+    with tracer.patched(triples):
+        model = bench._fit_method("equiv-c", ds, lib, system.generators, cfg)
+        bench._fit_method("sindy", ds, lib, system.generators, cfg)
+    S = T.summary()
+    assert S["constraint.basis"]["calls"] == \
+        len(model.provenance["nullities"])
+    assert S["discover.equiv-c"]["calls"] == 1
+    assert S["discover.sindy"]["calls"] == 1
+
+
 def test_na_formatting_for_zero_successful_runs():
     from symodes.bench import _fmt_cell
 

@@ -66,6 +66,27 @@ def test_missing_dataset_exits_2(tmp_path):
                    "--method", "sindy") == 2
 
 
+@pytest.mark.parametrize("change", [{"drop": "dim"},
+                                    {"set": ("system", "wobbler")}])
+def test_bad_dataset_manifest_exits_2(tmp_path, capsys, change):
+    # A fault in the data is a runtime or data error, not a config error,
+    # even when it surfaces as a missing key.
+    manifest = {"format": "symodes-dataset", "system": "oscillator",
+                "dim": 2, "seed": 0, "dt": 0.2, "threshold": 0.05,
+                "noise": {"kind": "none", "sigma": 0.0}, "splits": {}}
+    if "drop" in change:
+        del manifest[change["drop"]]
+    else:
+        key, value = change["set"]
+        manifest[key] = value
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("discover", "--dataset", str(data), "--method", "sindy",
+                   "--out", str(tmp_path / "m")) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_broken_symmetry_pair_exits_3(tmp_path, capsys):
     # Claiming a scaling symmetry for the rotationally symmetric oscillator
     # must fail the consistency check.

@@ -136,7 +136,7 @@ def test_pins_zero_out_coefficients_and_shrink_nullity():
                         [:pinned.nullity])
         if pinned.nullity == 0:
             break
-        assert abs(W[pin]) <= 1e-12
+        assert W[pin] == 0.0
 
 
 def test_singular_values_descending():

@@ -77,6 +77,26 @@ def test_stlsq_from_smoothed_finite_difference_data():
     np.testing.assert_allclose(W, sys.truth_matrix(lib), atol=1e-2)
 
 
+def test_fits_on_unsmoothed_dataset_use_raw_state_derivatives():
+    # A split left out of smooth_splits has no stored derivatives; the fits
+    # fall back to finite differences of the raw states.
+    from symodes.dynamics import estimate_derivatives, make_dataset
+
+    ds = make_dataset("oscillator", seed=0, counts=(50, 0, 0),
+                      smooth_splits=())
+    sys = get_system("oscillator")
+    lib = sys.library()
+    X, dX = ds.regression_arrays("train")
+    first = ds.train[0]
+    np.testing.assert_array_equal(X[:first.n_samples], first.states)
+    np.testing.assert_array_equal(dX[:first.n_samples],
+                                  estimate_derivatives(first.states, first.dt))
+    cfg = DiscoveryConfig(threshold=ds.threshold)
+    truth = support(sys.truth_matrix(lib))
+    assert support(stlsq(lib.evaluate(X), dX, ds.threshold)) == truth
+    assert support(equiv_c_fit(ds, lib, sys.generators, cfg).W) == truth
+
+
 # -- constrained fit -------------------------------------------------------------
 
 
@@ -94,6 +114,24 @@ def test_equiv_c_fit_growth():
     sys, lib, X, dX = clean_arrays("growth")
     model = equiv_c_fit((X, dX), lib, sys.generators)
     np.testing.assert_allclose(model.W, sys.truth_matrix(lib), atol=1e-10)
+
+
+def test_equiv_c_pinned_coefficients_are_exactly_zero():
+    # Pinning deletes columns from the constraint, so no pinned entry comes
+    # back as round-off residue that looks like a discovered term.
+    from symodes.dynamics import make_dataset
+
+    sys = get_system("seir")
+    lib = sys.library()
+    ds = make_dataset(sys, seed=3, counts=(10, 0, 0))
+    cfg = DiscoveryConfig(threshold=sys.data.threshold)
+    model = equiv_c_fit(ds, lib, sys.generators, cfg)
+    W = model.W
+    assert np.all(np.abs(W[W != 0.0]) >= cfg.threshold)
+    for i, mu in model.provenance["pins"]:
+        assert W[i, mu] == 0.0
+    assert constraint_residual(assemble_equivariant_basis(lib, sys.generators),
+                               W) <= 1e-9
 
 
 def test_equiv_c_model_interface():

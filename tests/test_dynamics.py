@@ -275,6 +275,26 @@ def test_make_dataset_noise_override_and_clean_states():
     np.testing.assert_array_equal(tr.states, tr.clean_states)
 
 
+def test_make_dataset_matches_one_trajectory_at_a_time():
+    # Trajectory j draws its initial condition, then its noise, from
+    # split_rng(seed, j) whatever the batch; batched integration agrees with
+    # integrating it alone up to BLAS summation order.
+    sys = get_system("oscillator")
+    ds = small_dataset(seed=4)
+    stride = int(round(ds.dt / sys.data.internal_dt))
+    trajs = ds.train + ds.val + ds.test
+    for j, tr in enumerate(trajs):
+        rng = split_rng(4, j)
+        x0 = sample_initial(sys, rng)
+        np.testing.assert_array_equal(tr.clean_states[0], x0)
+        alone = rk4_integrate(sys.oracle().h, x0, sys.data.internal_dt,
+                              (tr.n_samples - 1) * stride, stride)
+        np.testing.assert_allclose(tr.clean_states, alone.clean_states,
+                                   rtol=0, atol=1e-14)
+        noisy = sys.data.noise.apply(alone.clean_states, rng)
+        np.testing.assert_allclose(tr.states, noisy, rtol=0, atol=1e-14)
+
+
 def test_make_dataset_rejects_incompatible_dt():
     with pytest.raises(ValueError):
         make_dataset("oscillator", 0, dt=0.013, counts=(1, 0, 0),
