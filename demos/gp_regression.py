@@ -18,8 +18,7 @@ def main():
     print("1) exponential growth, clean data, plain GP")
     rng = np.random.default_rng(0)
     X = rng.uniform(0.5, 2.0, size=(200, 1))
-    cfg = DiscoveryConfig(gp=GpConfig(population=128, generations=30,
-                                      seed=0))
+    cfg = DiscoveryConfig(seed=0, gp=GpConfig(population=128, generations=30))
     res = gp_fit((X, X.copy()), cfg)
     print(f"   dx = x recovered as: {to_string(res.exprs[0])} "
           f"(mse {res.fitness[0][1]:.2e})")
@@ -27,11 +26,10 @@ def main():
     print("\n2) rotationally symmetric oscillator, noisy data")
     system = get_system("oscillator")
     ds = make_dataset(system, seed=1, counts=(10, 2, 2))
-    cfg = DiscoveryConfig(gp=GpConfig(population=192, generations=40,
-                                      seed=1))
+    cfg = DiscoveryConfig(seed=1, lambda_symm=0.5, eps=0.1,
+                          gp=GpConfig(population=192, generations=40))
     plain = gp_fit(ds, cfg)
-    penalized = gp_fit(ds, cfg, symmetry={"gens": list(system.generators),
-                                          "eps": 0.1, "lambda": 0.5})
+    penalized = gp_fit(ds, cfg, symmetry=system.generators)
     print("   plain GP:")
     for line in plain.equations():
         print("     " + line)

@@ -14,11 +14,9 @@ from .symmetry import (DegenerateLossError, Generator, GroupElement,
 from .constraint import (EquivariantBasis, assemble_equivariant_basis,
                          constraint_block, constraint_residual, materialize,
                          unvec, vec)
-from .dynamics import (Dataset, DataSpec, GpSmoothConfig, NoiseSpec,
-                       OdeSystem, SYSTEMS, SindyModel, Trajectory,
-                       add_noise, estimate_derivatives, get_system,
-                       gp_smooth, gp_smooth_series, load_dataset,
-                       make_dataset, rk4_integrate, sample_initial,
-                       save_dataset, split_rng)
+from .dynamics import (Dataset, DataSpec, NoiseSpec, OdeSystem, SYSTEMS,
+                       SindyModel, Trajectory, estimate_derivatives,
+                       get_system, gp_smooth, gp_smooth_series, load_dataset,
+                       make_dataset, sample_initial, save_dataset, split_rng)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

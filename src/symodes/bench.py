@@ -139,8 +139,7 @@ def _rmse_one(records, truth_coeffs, mode, eq):
 # -- long-term prediction ---------------------------------------------------------
 
 
-def long_term_error(model, system, test_ics, horizon, checkpoints,
-                    internal_dt=INTERNAL_DT):
+def long_term_error(model, system, test_ics, horizon, checkpoints):
     """Squared prediction error of a learned field against the true flow.
 
     Both fields are integrated from each initial condition; at every
@@ -169,7 +168,7 @@ def long_term_error(model, system, test_ics, horizon, checkpoints,
         for j, tc in enumerate(checkpoints):
             seg = tc - t
             if seg > 0:
-                n = max(1, int(round(seg / internal_dt)))
+                n = max(1, int(round(seg / INTERNAL_DT)))
                 ym = rk4_final(model.h, ym, seg, n)
                 yt = rk4_final(oracle.h, yt, seg, n)
                 t = tc
@@ -223,9 +222,7 @@ def _fit_method(method, ds, lib, gens, dcfg):
     if method == "gp":
         return gp_fit(ds, dcfg)
     if method == "equiv-gp-r":
-        lam = dcfg.lambda_symm if dcfg.lambda_symm is not None else 0.1
-        return gp_fit(ds, dcfg, symmetry={"gens": list(gens),
-                                          "eps": dcfg.eps, "lambda": lam})
+        return gp_fit(ds, dcfg, symmetry=gens)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -252,8 +249,7 @@ def _bench_worker(args):
     timings = {}
     for mi, method in enumerate(bc.methods):
         fit_seed = derive_seed(bc.seed, k, mi)
-        dcfg = replace(base_cfg, seed=fit_seed,
-                       gp=replace(base_cfg.gp, seed=fit_seed))
+        dcfg = replace(base_cfg, seed=fit_seed)
         t0 = time.perf_counter()
         err = ""
         model = None

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -25,11 +26,11 @@ from .bench import (METHODS, BenchConfig, _fit_method, emit_report,
                     run_benchmark)
 from .constraint import assemble_equivariant_basis, materialize
 from .discover import DiscoveryConfig, GpConfig, OptimizerConfig
-from .dynamics import (SYSTEMS, NoiseSpec, SindyModel, equation_strings,
-                       get_system, load_dataset, make_dataset,
-                       sample_initial, save_dataset, split_rng)
+from .dynamics import (NOISE_KINDS, SYSTEMS, NoiseSpec, SindyModel,
+                       equation_strings, get_system, load_dataset,
+                       make_dataset, sample_initial, save_dataset, split_rng)
 from .library import build_library
-from .symmetry import Generator, check_infinitesimal_criterion
+from .symmetry import LOSS_KINDS, Generator, check_infinitesimal_criterion
 
 
 class ConfigError(Exception):
@@ -79,7 +80,7 @@ CONFIG_SCHEMA = {
                 "threshold": {"type": "number", "minimum": 0},
                 "max_rounds": {"type": "integer", "minimum": 1},
                 "lambda_symm": _NUM_OR_NULL,
-                "loss_kind": {"enum": ["igie", "fgie", "igfe", "fgfe"]},
+                "loss_kind": {"enum": list(LOSS_KINDS)},
                 "tau": _NUM,
                 "eps": _NUM,
                 "flow_steps": {"type": "integer", "minimum": 1},
@@ -126,13 +127,20 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "noise": {"type": ["number", "null"], "minimum": 0},
-                "noise_kind": {"enum": ["additive_relative",
-                                        "multiplicative", "none"]},
+                "noise_kind": {"enum": list(NOISE_KINDS)},
                 "n_samples": {"type": "integer", "minimum": 2},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "n_train": {"type": "integer", "minimum": 0},
                 "n_val": {"type": "integer", "minimum": 0},
                 "n_test": {"type": "integer", "minimum": 0},
+            },
+        },
+        "check": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "points": {"type": "integer", "minimum": 1},
+                "tol": {"type": "number", "minimum": 0},
             },
         },
         "seeds": {
@@ -198,32 +206,8 @@ def load_config_file(path):
 def merge_config(args):
     """File config overlaid with any explicitly passed flags."""
     cfg = load_config_file(args.config) if args.config else {}
-    for flag, path in (
-            ("system", ("system",)),
-            ("dataset", ("dataset",)),
-            ("method", ("method",)),
-            ("out", ("out",)),
-            ("jobs", ("jobs",)),
-            ("seed", ("seeds", "master")),
-            ("noise", ("data", "noise")),
-            ("noise_kind", ("data", "noise_kind")),
-            ("samples", ("data", "n_samples")),
-            ("dt", ("data", "dt")),
-            ("train", ("data", "n_train")),
-            ("val", ("data", "n_val")),
-            ("test", ("data", "n_test")),
-            ("degree", ("library", "degree")),
-            ("exponentials", ("library", "exponentials")),
-            ("threshold", ("discovery", "threshold")),
-            ("lambda_symm", ("discovery", "lambda_symm")),
-            ("loss", ("discovery", "loss_kind")),
-            ("runs", ("benchmark", "runs")),
-            ("horizon", ("benchmark", "horizon")),
-    ):
-        _set(cfg, path, getattr(args, flag, None))
-    if getattr(args, "methods", None):
-        _set(cfg, ("benchmark", "methods"),
-             [m.strip() for m in args.methods.split(",") if m.strip()])
+    for name, flag in FLAGS.items():
+        _set(cfg, flag.path, getattr(args, _dest(name), None))
     validate_config(cfg)
     return cfg
 
@@ -251,18 +235,29 @@ def _build_library(cfg, system):
     return build_library(system.dim, degree, expo)
 
 
-def _build_noise(cfg, system):
-    """Noise override from the data section; None keeps the registry default."""
+def _data_overrides(cfg, system):
+    """make_dataset keywords from the data section.
+
+    A key the section leaves out keeps the system's published convention.
+    """
     section = cfg.get("data", {})
-    if "noise" not in section and "noise_kind" not in section:
-        return None
-    sigma = section.get("noise")
-    kind = section.get("noise_kind")
-    if sigma is None:
-        sigma = system.data.noise.sigma
-    if sigma == 0 or kind == "none":
-        return NoiseSpec("none", 0.0)
-    return NoiseSpec(kind or system.data.noise.kind, float(sigma))
+    spec = system.data
+    out = {}
+    if "noise" in section or "noise_kind" in section:
+        sigma = section.get("noise")
+        if sigma is None:
+            sigma = spec.noise.sigma
+        kind = section.get("noise_kind")
+        out["noise"] = (NoiseSpec("none", 0.0) if sigma == 0 or kind == "none"
+                        else NoiseSpec(kind or spec.noise.kind, float(sigma)))
+    for key in ("n_samples", "dt"):
+        if key in section:
+            out[key] = section[key]
+    keys = ("n_train", "n_val", "n_test")
+    counts = tuple(section.get(k, getattr(spec, k)) for k in keys)
+    if counts != tuple(getattr(spec, k) for k in keys):
+        out["counts"] = counts
+    return out
 
 
 def _build_discovery(cfg, system, master):
@@ -272,21 +267,11 @@ def _build_discovery(cfg, system, master):
     for key in ("operators", "constant_range"):
         if key in gp_kw:
             gp_kw[key] = tuple(gp_kw[key])
-    gp = GpConfig(seed=master, **gp_kw)
+    gp = GpConfig(**gp_kw)
     if "lambda_grid" in section:
         section["lambda_grid"] = tuple(section["lambda_grid"])
     section.setdefault("threshold", system.data.threshold)
     return DiscoveryConfig(seed=master, optimizer=opt, gp=gp, **section)
-
-
-def _counts(cfg, system):
-    section = cfg.get("data", {})
-    spec = system.data
-    counts = (section.get("n_train", spec.n_train),
-              section.get("n_val", spec.n_val),
-              section.get("n_test", spec.n_test))
-    return None if counts == (spec.n_train, spec.n_val, spec.n_test) \
-        else counts
 
 
 def _outdir(cfg):
@@ -316,11 +301,7 @@ def _stamp_csv(path, prov):
 def cmd_generate(cfg):
     system = get_system(_require(cfg, "system", "generate needs a system"))
     master = cfg.get("seeds", {}).get("master", 0)
-    ds = make_dataset(system, master,
-                      noise=_build_noise(cfg, system),
-                      n_samples=cfg.get("data", {}).get("n_samples"),
-                      dt=cfg.get("data", {}).get("dt"),
-                      counts=_counts(cfg, system))
+    ds = make_dataset(system, master, **_data_overrides(cfg, system))
     outdir = _outdir(cfg)
     save_dataset(ds, outdir, extra_meta={"provenance": _provenance(cfg)})
     counts = {s: len(ds.splits[s]) for s in ds.splits}
@@ -367,9 +348,11 @@ def cmd_nullspace(cfg):
     return 0
 
 
-def cmd_check_symmetry(cfg, points=200, tol=1e-8):
+def cmd_check_symmetry(cfg):
     system = get_system(_require(cfg, "system",
                                  "check-symmetry needs a system"))
+    points = cfg.get("check", {}).get("points", 200)
+    tol = cfg.get("check", {}).get("tol", 1e-8)
     gens = _build_generators(cfg, system.dim, system.generators)
     if not gens:
         raise ConfigError(
@@ -396,21 +379,16 @@ def cmd_check_symmetry(cfg, points=200, tol=1e-8):
 
 
 def cmd_discover(cfg):
+    master = cfg.get("seeds", {}).get("master", 0)
     if "dataset" in cfg:
         ds = load_dataset(cfg["dataset"])
         system = get_system(ds.system)
     elif "system" in cfg:
         system = get_system(cfg["system"])
-        master = cfg.get("seeds", {}).get("master", 0)
-        ds = make_dataset(system, master,
-                          noise=_build_noise(cfg, system),
-                          n_samples=cfg.get("data", {}).get("n_samples"),
-                          dt=cfg.get("data", {}).get("dt"),
-                          counts=_counts(cfg, system))
+        ds = make_dataset(system, master, **_data_overrides(cfg, system))
     else:
         raise ConfigError(
             "config error at system: discover needs a system or a dataset")
-    master = cfg.get("seeds", {}).get("master", 0)
     method = cfg.get("method", "equiv-c")
     lib = _build_library(cfg, system)
     gens = _build_generators(cfg, system.dim, system.generators)
@@ -450,21 +428,13 @@ def cmd_benchmark(cfg):
     system = get_system(_require(cfg, "system", "benchmark needs a system"))
     master = cfg.get("seeds", {}).get("master", 0)
     section = cfg.get("benchmark", {})
-    data_over = []
-    data_section = cfg.get("data", {})
-    if "n_samples" in data_section:
-        data_over.append(("n_samples", data_section["n_samples"]))
-    if "dt" in data_section:
-        data_over.append(("dt", data_section["dt"]))
-    counts = _counts(cfg, system)
-    if counts is not None:
-        data_over.append(("counts", counts))
+    data = _data_overrides(cfg, system)
     bc = BenchConfig(
         system=system.name,
         methods=tuple(section.get("methods", ("sindy", "equiv-c"))),
         runs=section.get("runs", 20),
         seed=master,
-        noise=_build_noise(cfg, system),
+        noise=data.pop("noise", None),
         discovery=(_build_discovery(cfg, system, master)
                    if "discovery" in cfg else None),
         generators=(_build_generators(cfg, system.dim)
@@ -472,7 +442,7 @@ def cmd_benchmark(cfg):
         horizon=section.get("horizon"),
         n_checkpoints=section.get("n_checkpoints", 10),
         ltp_ics=section.get("ltp_ics", 5),
-        data=tuple(data_over),
+        data=tuple(data.items()),
         jobs=cfg.get("jobs", 1),
     )
     report = run_benchmark(bc)
@@ -496,11 +466,81 @@ def cmd_benchmark(cfg):
 # -- argument parsing ------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="output directory (default .)")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--jobs", type=int, help="worker process cap")
+@dataclass(frozen=True)
+class Flag:
+    """A command-line flag and the config path its value overrides."""
+
+    path: tuple
+    help: str
+    type: object = str        # argparse type; bool is a switch
+    choices: tuple = None
+
+
+def _method_list(text):
+    return [m.strip() for m in text.split(",") if m.strip()]
+
+
+# Every flag, declared once: build_parser adds it to the subcommands that list
+# it, and merge_config writes a passed value to its config path.  A flag left
+# out keeps the config file's value there.
+FLAGS = {
+    "--out": Flag(("out",), "output directory (default .)"),
+    "--seed": Flag(("seeds", "master"), "master seed", int),
+    "--jobs": Flag(("jobs",), "worker process cap", int),
+    "--system": Flag(("system",), "registered system name"),
+    "--dataset": Flag(("dataset",), "directory of a generated dataset"),
+    "--method": Flag(("method",), "discovery method", choices=METHODS),
+    "--noise": Flag(("data", "noise"), "noise level sigma_R", float),
+    "--noise-kind": Flag(("data", "noise_kind"), "noise model",
+                         choices=NOISE_KINDS),
+    "--samples": Flag(("data", "n_samples"), "samples per trajectory", int),
+    "--dt": Flag(("data", "dt"), "sampling interval", float),
+    "--train": Flag(("data", "n_train"), "training trajectories", int),
+    "--val": Flag(("data", "n_val"), "validation trajectories", int),
+    "--test": Flag(("data", "n_test"), "test trajectories", int),
+    "--degree": Flag(("library", "degree"), "library polynomial degree", int),
+    "--exponentials": Flag(("library", "exponentials"),
+                           "include exp(xi) library terms", bool),
+    "--threshold": Flag(("discovery", "threshold"), "sparsity threshold",
+                        float),
+    "--lambda": Flag(("discovery", "lambda_symm"),
+                     "symmetry regularization weight", float),
+    "--loss": Flag(("discovery", "loss_kind"), "symmetry loss variant",
+                   choices=LOSS_KINDS),
+    "--methods": Flag(("benchmark", "methods"), "comma-separated method list",
+                      _method_list),
+    "--runs": Flag(("benchmark", "runs"), "number of seeded runs", int),
+    "--horizon": Flag(("benchmark", "horizon"),
+                      "long-term prediction horizon", float),
+    "--points": Flag(("check", "points"),
+                     "sample points for the residual check (default 200)",
+                     int),
+    "--tol": Flag(("check", "tol"), "consistency tolerance (default 1e-8)",
+                  float),
+}
+
+_COMMON_FLAGS = ("--out", "--seed", "--jobs", "--system")
+
+# name -> (handler, help, flags besides --config and the common ones)
+COMMANDS = {
+    "generate": (cmd_generate, "simulate a dataset to CSV + manifest",
+                 ("--noise", "--noise-kind", "--samples", "--dt", "--train",
+                  "--val", "--test")),
+    "nullspace": (cmd_nullspace, "solve the symmetry constraint for a basis",
+                  ("--degree", "--exponentials")),
+    "check-symmetry": (cmd_check_symmetry,
+                       "test generators against a system's dynamics",
+                       ("--points", "--tol")),
+    "discover": (cmd_discover, "fit a model on one dataset",
+                 ("--dataset", "--method", "--noise", "--threshold",
+                  "--lambda", "--loss")),
+    "benchmark": (cmd_benchmark, "run seeded discovery benchmarks",
+                  ("--methods", "--runs", "--noise", "--horizon")),
+}
+
+
+def _dest(name):
+    return name[2:].replace("-", "_")
 
 
 def build_parser():
@@ -511,66 +551,18 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"symodes {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("generate", help="simulate a dataset to CSV + manifest")
-    _add_common(p)
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--noise", type=float, help="noise level sigma_R")
-    p.add_argument("--noise-kind", dest="noise_kind",
-                   choices=["additive_relative", "multiplicative", "none"])
-    p.add_argument("--samples", type=int, help="samples per trajectory")
-    p.add_argument("--dt", type=float, help="sampling interval")
-    p.add_argument("--train", type=int, help="training trajectories")
-    p.add_argument("--val", type=int, help="validation trajectories")
-    p.add_argument("--test", type=int, help="test trajectories")
-
-    p = subs.add_parser("nullspace",
-                        help="solve the symmetry constraint for a basis")
-    _add_common(p)
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--degree", type=int, help="library polynomial degree")
-    p.add_argument("--exponentials", action="store_const", const=True,
-                   default=None, help="include exp(xi) library terms")
-
-    p = subs.add_parser("check-symmetry",
-                        help="test generators against a system's dynamics")
-    _add_common(p)
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--points", type=int, default=200,
-                   help="sample points for the residual check")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="consistency tolerance")
-
-    p = subs.add_parser("discover", help="fit a model on one dataset")
-    _add_common(p)
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--dataset", help="directory of a generated dataset")
-    p.add_argument("--method", choices=list(METHODS))
-    p.add_argument("--noise", type=float, help="noise level sigma_R")
-    p.add_argument("--threshold", type=float, help="sparsity threshold")
-    p.add_argument("--lambda", dest="lambda_symm", type=float,
-                   help="symmetry regularization weight")
-    p.add_argument("--loss", choices=["igie", "fgie", "igfe", "fgfe"],
-                   help="symmetry loss variant")
-
-    p = subs.add_parser("benchmark", help="run seeded discovery benchmarks")
-    _add_common(p)
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--methods", help="comma-separated method list")
-    p.add_argument("--runs", type=int, help="number of seeded runs")
-    p.add_argument("--noise", type=float, help="noise level sigma_R")
-    p.add_argument("--horizon", type=float,
-                   help="long-term prediction horizon")
+    for command, (_, help_text, flags) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file")
+        for name in _COMMON_FLAGS + flags:
+            flag = FLAGS[name]
+            if flag.type is bool:
+                p.add_argument(name, dest=_dest(name), action="store_const",
+                               const=True, help=flag.help)
+            else:
+                p.add_argument(name, dest=_dest(name), type=flag.type,
+                               choices=flag.choices, help=flag.help)
     return parser
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "nullspace": cmd_nullspace,
-    "check-symmetry": cmd_check_symmetry,
-    "discover": cmd_discover,
-    "benchmark": cmd_benchmark,
-}
 
 
 def main(argv=None):
@@ -578,9 +570,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = merge_config(args)
-        if args.command == "check-symmetry":
-            return cmd_check_symmetry(cfg, points=args.points, tol=args.tol)
-        return _COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -34,7 +34,6 @@ from .constraint import assemble_equivariant_basis, materialize
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
 from .expressions import Expr, evaluate, expand, to_string
-from .library import canonicalize
 from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError, GroupElement,
                        symmetry_loss_grad)
 
@@ -61,7 +60,6 @@ class GpConfig:
     max_fit_samples: int = 512
     penalty_points: int = 128
     target_mse: float = 1e-12
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -603,15 +601,6 @@ class GpResult:
     history: list
     provenance: dict = field(default_factory=dict)
 
-    def __iter__(self):
-        return iter(self.exprs)
-
-    def __len__(self):
-        return len(self.exprs)
-
-    def __getitem__(self, i):
-        return self.exprs[i]
-
     def h(self, X):
         """The discovered vector field at X of shape (..., d)."""
         return np.stack([gp_evaluate(e, X) for e in self.exprs], axis=-1)
@@ -620,42 +609,35 @@ class GpResult:
         return [f"x{i+1}' = {to_string(e)}"
                 for i, e in enumerate(self.exprs)]
 
-    def term_sets(self, lib):
-        out = []
-        for e in self.exprs:
-            coeffs = canonicalize(e, lib)
-            out.append(None if coeffs is None else coeffs)
-        return out
 
-
-def gp_fit(dataset, cfg=None, symmetry=None):
+def gp_fit(dataset, cfg=None, symmetry=()):
     """Evolve one expression per output dimension.
 
-    symmetry, when given, is {"gens": [...], "eps": float, "lambda": float};
-    the penalty compares candidates at precomputed transformed points
+    symmetry, when given, is a sequence of generators v; the penalty uses
+    the group elements exp(cfg.eps * v) with weight cfg.lambda_symm (0.1
+    when None).  It compares candidates at precomputed transformed points
     against the pushed-forward measured derivatives, so its cost per
     candidate is one extra tree evaluation.
     """
-    dcfg = cfg or DiscoveryConfig()
-    g = dcfg.gp
+    cfg = cfg or DiscoveryConfig()
+    g = cfg.gp
     X, dX = _regression_data(dataset)
     d = dX.shape[1]
-    rng0 = split_rng(g.seed, 0)
+    rng0 = split_rng(cfg.seed, 0)
     if X.shape[0] > g.max_fit_samples:
         keep = np.sort(rng0.choice(X.shape[0], size=g.max_fit_samples,
                                    replace=False))
         X, dX = X[keep], dX[keep]
     lam = 0.0
     penalty_all = None
-    if symmetry and symmetry.get("gens"):
-        lam = float(symmetry.get("lambda", 0.1))
-        eps = float(symmetry.get("eps", dcfg.eps))
+    if symmetry:
+        lam = float(cfg.lambda_symm if cfg.lambda_symm is not None else 0.1)
         np_pen = min(g.penalty_points, X.shape[0])
-        penalty_all = gp_penalty_data(symmetry["gens"], X[:np_pen],
-                                      dX[:np_pen], eps)
+        penalty_all = gp_penalty_data(symmetry, X[:np_pen], dX[:np_pen],
+                                      float(cfg.eps))
     exprs, fits, histories = [], [], []
     for i in range(d):
-        rng = split_rng(g.seed, 1 + i)
+        rng = split_rng(cfg.seed, 1 + i)
         penalty = ([(gX, T[:, i]) for gX, T in penalty_all]
                    if penalty_all else None)
         e, f, hist = _evolve_dimension(X, dX[:, i], g, rng, penalty, lam)
@@ -664,7 +646,7 @@ def gp_fit(dataset, cfg=None, symmetry=None):
         fits.append(f)
         histories.append(hist)
     prov = {"method": "equiv-gp-r" if lam > 0 else "gp",
-            "lambda": lam, "seed": g.seed,
+            "lambda": lam, "seed": cfg.seed,
             "generations": [len(h) - 1 for h in histories]}
     return GpResult(exprs=exprs, fitness=fits, history=histories,
                     provenance=prov)

@@ -31,6 +31,7 @@ from .library import build_library, canonicalize, m_theta
 from .symmetry import DEFAULT_FLOW_STEPS, Generator
 
 INTERNAL_DT = 0.002
+NOISE_KINDS = ("additive_relative", "multiplicative", "none")
 
 
 def split_rng(master_seed, *path):
@@ -52,7 +53,7 @@ class NoiseSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.kind not in ("additive_relative", "multiplicative", "none"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
@@ -103,7 +104,6 @@ class DataSpec:
     dt: float
     noise: NoiseSpec
     threshold: float
-    internal_dt: float = INTERNAL_DT
 
 
 @dataclass(frozen=True)
@@ -303,53 +303,24 @@ def sample_initial(system, rng):
     raise ValueError(f"unknown sampler {s!r}")
 
 
-# -- integration ---------------------------------------------------------------
-
-
-def rk4_integrate(rhs, x0, dt_internal, n_internal, stride, t0=0.0):
-    """Integrate one initial condition, recording every stride-th state.
-
-    rhs maps (..., d) to (..., d).  Returns a clean Trajectory with
-    dt = dt_internal * stride.  Non-finite states abort with the internal
-    step index.
-    """
-    states = rk4_record(rhs, np.asarray(x0, dtype=float), dt_internal,
-                        n_internal, stride)
-    return Trajectory(t0=t0, dt=dt_internal * stride, states=states.copy(),
-                      clean_states=states)
-
-
-def add_noise(traj, noise, rng):
-    """New trajectory whose observed states carry the given noise."""
-    if traj.clean_states is None:
-        raise ValueError("add_noise needs clean states")
-    noisy = noise.apply(traj.clean_states, rng)
-    return replace(traj, states=noisy)
-
-
 # -- Gaussian-process smoothing ------------------------------------------------
+#
+# Squared-exponential smoother with grid-searched hyperparameters.
+# Lengthscales are multiples of the sampling interval; the signal scale is the
+# series standard deviation and noise scales are multiples of it.  The noise
+# grid is deliberately two-point: a near-zero scale so that clean series are
+# reproduced essentially unchanged, and a conservative scale at 0.7 of the
+# series std so that heavily contaminated series are smoothed aggressively.
+# Hyperparameters maximize the log marginal likelihood on an evenly spaced
+# subsample of at most SMOOTH_MAX_TRAIN points; the posterior mean is then
+# evaluated on the full grid from at most SMOOTH_MAX_INDUCING conditioning
+# points.
 
-
-@dataclass(frozen=True)
-class GpSmoothConfig:
-    """Squared-exponential smoother with grid-searched hyperparameters.
-
-    Lengthscales are multiples of the sampling interval; signal and noise
-    scales are multiples of the series standard deviation.  The noise grid is
-    deliberately two-point: a near-zero scale so that clean series are
-    reproduced essentially unchanged, and a conservative scale at 0.7 of the
-    series std so that heavily contaminated series are smoothed aggressively.
-    Hyperparameters maximize the log marginal likelihood on an evenly spaced
-    subsample of at most max_train points; the posterior mean is then
-    evaluated on the full grid from at most max_inducing conditioning points.
-    """
-
-    lengthscale_factors: tuple = (5.0, 10.0, 20.0, 50.0, 100.0)
-    signal_factors: tuple = (1.0,)
-    noise_factors: tuple = (1e-4, 0.7)
-    max_train: int = 500
-    max_inducing: int = 2000
-    jitter: float = 1e-8
+SMOOTH_LENGTHSCALE_FACTORS = (5.0, 10.0, 20.0, 50.0, 100.0)
+SMOOTH_NOISE_FACTORS = (1e-4, 0.7)
+SMOOTH_MAX_TRAIN = 500
+SMOOTH_MAX_INDUCING = 2000
+SMOOTH_JITTER = 1e-8
 
 
 def _even_subset(n, k):
@@ -363,8 +334,8 @@ def _se_kernel(ta, tb, ell):
     return np.exp(-0.5 * (diff / ell) ** 2)
 
 
-def _chol_with_jitter(K, scale, jitter):
-    for jit in (0.0, jitter, 1e-4):
+def _chol_with_jitter(K, scale):
+    for jit in (0.0, SMOOTH_JITTER, 1e-4):
         try:
             return scipy.linalg.cho_factor(
                 K + jit * scale * np.eye(K.shape[0]), lower=True), jit
@@ -374,7 +345,7 @@ def _chol_with_jitter(K, scale, jitter):
         "kernel matrix not positive definite even with jitter 1e-4")
 
 
-def gp_smooth_series(t, y, cfg=GpSmoothConfig()):
+def gp_smooth_series(t, y):
     """Posterior-mean smoothing of one scalar series; returns (mean, info)."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -383,51 +354,50 @@ def gp_smooth_series(t, y, cfg=GpSmoothConfig()):
     if sd == 0.0 or n < 3:
         return y.copy(), {"degenerate": True}
     dt = float(t[1] - t[0])
-    idx = _even_subset(n, cfg.max_train)
+    idx = _even_subset(n, SMOOTH_MAX_TRAIN)
     ts, ys = t[idx], y[idx]
     mu = float(ys.mean())
     yc = ys - mu
     m = len(idx)
+    sig2 = sd ** 2
     best = None
-    for lf in cfg.lengthscale_factors:
+    for lf in SMOOTH_LENGTHSCALE_FACTORS:
         ell = lf * dt
         K1 = _se_kernel(ts, ts, ell)
-        for sf in cfg.signal_factors:
-            for nf in cfg.noise_factors:
-                sig2 = (sf * sd) ** 2
-                K = sig2 * K1 + ((nf * sd) ** 2) * np.eye(m)
-                try:
-                    cho, _ = _chol_with_jitter(K, sig2, cfg.jitter)
-                except np.linalg.LinAlgError:
-                    continue
-                alpha = scipy.linalg.cho_solve(cho, yc)
-                lml = (-0.5 * float(yc @ alpha)
-                       - float(np.log(np.diag(cho[0])).sum())
-                       - 0.5 * m * np.log(2.0 * np.pi))
-                if best is None or lml > best[0]:
-                    best = (lml, ell, sf * sd, nf * sd)
+        for nf in SMOOTH_NOISE_FACTORS:
+            K = sig2 * K1 + ((nf * sd) ** 2) * np.eye(m)
+            try:
+                cho, _ = _chol_with_jitter(K, sig2)
+            except np.linalg.LinAlgError:
+                continue
+            alpha = scipy.linalg.cho_solve(cho, yc)
+            lml = (-0.5 * float(yc @ alpha)
+                   - float(np.log(np.diag(cho[0])).sum())
+                   - 0.5 * m * np.log(2.0 * np.pi))
+            if best is None or lml > best[0]:
+                best = (lml, ell, nf * sd)
     if best is None:
         raise np.linalg.LinAlgError("no hyperparameter candidate factorized")
-    _, ell, sig, noise = best
-    ind = _even_subset(n, cfg.max_inducing)
+    _, ell, noise = best
+    ind = _even_subset(n, SMOOTH_MAX_INDUCING)
     ti, yi = t[ind], y[ind]
     mu_i = float(yi.mean())
-    K = sig ** 2 * _se_kernel(ti, ti, ell) + noise ** 2 * np.eye(len(ind))
-    cho, jit = _chol_with_jitter(K, sig ** 2, cfg.jitter)
+    K = sig2 * _se_kernel(ti, ti, ell) + noise ** 2 * np.eye(len(ind))
+    cho, jit = _chol_with_jitter(K, sig2)
     alpha = scipy.linalg.cho_solve(cho, yi - mu_i)
-    mean = sig ** 2 * _se_kernel(t, ti, ell) @ alpha + mu_i
-    info = {"lengthscale": ell, "signal": sig, "noise": noise,
+    mean = sig2 * _se_kernel(t, ti, ell) @ alpha + mu_i
+    info = {"lengthscale": ell, "signal": sd, "noise": noise,
             "lml": best[0], "jitter": jit, "n_train": m,
             "n_inducing": len(ind)}
     return mean, info
 
 
-def gp_smooth(traj, cfg=GpSmoothConfig()):
+def gp_smooth(traj):
     """Trajectory with the smoothed field filled in, one GP per dimension."""
     out = np.empty_like(traj.states)
     t = traj.times
     for i in range(traj.dim):
-        out[:, i], _ = gp_smooth_series(t, traj.states[:, i], cfg)
+        out[:, i], _ = gp_smooth_series(t, traj.states[:, i])
     return replace(traj, smoothed=out)
 
 
@@ -508,11 +478,11 @@ class Dataset:
 
 
 def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
-                 counts=None, smooth_splits=("train", "val"),
-                 smooth_cfg=GpSmoothConfig(), internal_dt=None):
+                 counts=None, smooth_splits=("train", "val")):
     """Generate a full train/val/test dataset for one registry system.
 
-    Any of the published conventions can be overridden.  Trajectory j (in
+    Any of the published conventions can be overridden; the internal
+    integration step is always INTERNAL_DT.  Trajectory j (in
     global order train, val, test) draws its initial condition and then its
     noise from split_rng(seed, j), so the random streams do not depend on
     how trajectories are batched.  Integration runs batched per split; the
@@ -527,12 +497,11 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     noise = noise if noise is not None else spec.noise
     n_samples = n_samples or spec.n_samples
     dt = dt or spec.dt
-    internal_dt = internal_dt or spec.internal_dt
     counts = counts or (spec.n_train, spec.n_val, spec.n_test)
-    stride = int(round(dt / internal_dt))
-    if abs(stride * internal_dt - dt) > 1e-12:
+    stride = int(round(dt / INTERNAL_DT))
+    if abs(stride * INTERNAL_DT - dt) > 1e-12:
         raise ValueError(
-            f"dt={dt} is not a multiple of the internal step {internal_dt}")
+            f"dt={dt} is not a multiple of the internal step {INTERNAL_DT}")
     oracle = system.oracle()
     splits = {}
     offset = 0
@@ -542,23 +511,22 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
         if count == 0:
             splits[split] = []
             continue
-        recorded = rk4_record(oracle.h, x0, internal_dt,
+        recorded = rk4_record(oracle.h, x0, INTERNAL_DT,
                               (n_samples - 1) * stride, stride)
         trajs = []
         for j in range(count):
             clean = recorded[:, j, :]
-            tr = Trajectory(t0=0.0, dt=dt, states=clean.copy(),
+            tr = Trajectory(t0=0.0, dt=dt, states=noise.apply(clean, rngs[j]),
                             clean_states=clean, seed=offset + j)
-            tr = add_noise(tr, noise, rngs[j])
             if split in smooth_splits:
-                tr = gp_smooth(tr, smooth_cfg)
+                tr = gp_smooth(tr)
                 tr = differentiate_trajectory(tr)
             trajs.append(tr)
         splits[split] = trajs
         offset += count
     return Dataset(system=system.name, dim=system.dim, seed=int(seed), dt=dt,
                    noise=noise, splits=splits, threshold=spec.threshold,
-                   meta={"n_samples": n_samples, "internal_dt": internal_dt,
+                   meta={"n_samples": n_samples, "internal_dt": INTERNAL_DT,
                          "counts": tuple(counts)})
 
 

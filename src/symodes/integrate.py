@@ -40,12 +40,12 @@ def rk4_final(f, y0, total_time, steps):
     return y
 
 
-def rk4_record(f, y0, dt_internal, n_internal, stride, check_finite=True):
+def rk4_record(f, y0, dt_internal, n_internal, stride):
     """Integrate n_internal steps, recording every stride-th state.
 
     Returns an array of shape (n_internal // stride + 1, ...) that includes
-    the initial state.  With check_finite, a non-finite state aborts with the
-    offending internal step index.
+    the initial state.  A non-finite state aborts with the offending
+    internal step index.
     """
     if n_internal % stride != 0:
         raise ValueError("n_internal must be a multiple of stride")
@@ -54,7 +54,7 @@ def rk4_record(f, y0, dt_internal, n_internal, stride, check_finite=True):
     out[0] = y
     for step in range(1, n_internal + 1):
         y = rk4_step(f, y, dt_internal)
-        if check_finite and not np.all(np.isfinite(y)):
+        if not np.all(np.isfinite(y)):
             raise IntegrationError(step)
         if step % stride == 0:
             out[step // stride] = y

@@ -7,8 +7,9 @@ exp(x1)..exp(xd).  Candidate dynamics are linear combinations h(x) = W
 Theta(x) with W of shape (d, p).
 
 Canonicalization maps an arbitrary expression tree onto library coordinates
-when possible, which is how symbolic structure matrices and term-set
-comparisons are computed; there is no numerical fitting anywhere in this
+when possible, which is how true coefficient matrices and term-set
+comparisons are computed; structure matrices of linear generators follow
+from exponent arithmetic.  There is no numerical fitting anywhere in this
 module.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, differentiate, expand
+from .expressions import Expr, expand
 
 COEFF_DROP_TOL = 1e-12
 
@@ -271,10 +272,11 @@ def m_theta(lib, components):
 
 
 def generator_structure_matrix(lib, L):
-    """M with J_Theta(x) L x = M Theta(x), computed symbolically.
+    """M with J_Theta(x) L x = M Theta(x), by exponent arithmetic.
 
-    Only polynomial libraries are closed under linear generators; exponential
-    libraries are rejected.
+    For a monomial x^e, d(x^e)/dx_j * L[j, k] x_k = e_j L[j, k] x^(e - 1_j +
+    1_k), a monomial of the same degree, so polynomial libraries are closed
+    under linear generators; exponential libraries are rejected.
     """
     if lib.include_exponentials:
         raise NotInSpanError(
@@ -282,21 +284,15 @@ def generator_structure_matrix(lib, L):
     L = np.asarray(L, dtype=float)
     if L.shape != (lib.dim, lib.dim):
         raise ValueError(f"generator matrix must be {(lib.dim, lib.dim)}")
-    fields = []
-    for j in range(lib.dim):
-        field = None
-        for k in range(lib.dim):
-            if L[j, k] == 0.0:
+    pairs = list(zip(*np.nonzero(L)))
+    M = np.zeros((lib.size, lib.size))
+    for mu, term in enumerate(lib.terms):
+        for j, k in pairs:
+            e = list(term.exponents)
+            if e[j] == 0:
                 continue
-            part = Expr.mul(Expr.const(L[j, k]), Expr.var(k))
-            field = part if field is None else Expr.add(field, part)
-        fields.append(field if field is not None else Expr.const(0.0))
-    rows = []
-    for mu in range(lib.size):
-        tex = lib.term_expr(mu)
-        acc = None
-        for j in range(lib.dim):
-            part = Expr.mul(differentiate(tex, j), fields[j])
-            acc = part if acc is None else Expr.add(acc, part)
-        rows.append(acc)
-    return m_theta(lib, rows)
+            coef = e[j] * L[j, k]
+            e[j] -= 1
+            e[k] += 1
+            M[mu, lib._index[TermKey(tuple(e), term.expflags)]] += coef
+    return M

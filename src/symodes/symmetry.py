@@ -17,10 +17,9 @@ loss here:
     fgfe:  |f(g x) - g f(x)|^2      / |f(g x) - f(x)|^2
 
 igie and igfe need no group element; only igie needs second derivatives of the
-learned dynamics; igfe and fgfe integrate the learned flow; fgie and fgfe
-admit precomputed transforms of the data.  Losses average the per-point,
-per-generator ratios; points whose denominator underflows DENOM_TOL are
-skipped and counted instead of clamped.
+learned dynamics; igfe and fgfe integrate the learned flow.  Losses average
+the per-point, per-generator ratios; points whose denominator underflows
+DENOM_TOL are skipped and counted instead of clamped.
 
 For models that are linear in their parameters, h(x) = W Theta(x), every loss
 also has an analytic gradient in W, obtained by propagating parameter
@@ -29,8 +28,6 @@ values (finite differences appear only in tests).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -181,11 +178,6 @@ class GroupElement:
         return J
 
 
-def infinitesimal_action(gen, X):
-    """(v(X), J_v(X)) for a generator."""
-    return gen(X), gen.jacobian(X)
-
-
 def check_infinitesimal_criterion(oracle, generators, points, tol=1e-8):
     """Normalized commutator residuals |J_h v - J_v h| / (1 + |J_v h|).
 
@@ -198,7 +190,7 @@ def check_infinitesimal_criterion(oracle, generators, points, tol=1e-8):
     per_gen = []
     all_res = []
     for gen in generators:
-        v, Jv = infinitesimal_action(gen, X)
+        v, Jv = gen(X), gen.jacobian(X)
         lhs = np.einsum("...ij,...j->...i", Jh, v)
         rhs = np.einsum("...ij,...j->...i", Jv, h)
         res = np.linalg.norm(lhs - rhs, axis=-1) / (
@@ -228,14 +220,7 @@ def check_infinitesimal_criterion(oracle, generators, points, tol=1e-8):
 # (fgfe).  SindyModel provides all four.
 
 
-@dataclass
-class LossDetail:
-    value: float
-    used: int
-    skipped: int
-
-
-def _finish(ratios_masks, detail):
+def _finish(ratios_masks):
     used = 0
     skipped = 0
     total = 0.0
@@ -246,13 +231,10 @@ def _finish(ratios_masks, detail):
             total += float(ratio[mask].sum())
     if used == 0:
         if skipped == 0:
-            result = LossDetail(0.0, 0, 0)  # no generators
-        else:
-            raise DegenerateLossError(
-                "all points were skipped (denominators below tolerance)")
-    else:
-        result = LossDetail(total / used, used, skipped)
-    return result if detail else result.value
+            return 0.0  # no generators
+        raise DegenerateLossError(
+            "all points were skipped (denominators below tolerance)")
+    return total / used
 
 
 def _ratio(num_vec, den_vec):
@@ -264,47 +246,44 @@ def _ratio(num_vec, den_vec):
     return ratio, mask
 
 
-def loss_igie(oracle, generators, X, detail=False):
+def loss_igie(oracle, generators, X):
     """Commutator defect of h against each generator, relative form."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     h = oracle.h(X)
     Jh = oracle.h_jacobian(X)
     parts = []
     for gen in generators:
-        v, Jv = infinitesimal_action(gen, X)
+        v, Jv = gen(X), gen.jacobian(X)
         jvh = np.einsum("nij,nj->ni", Jv, h)
         jhv = np.einsum("nij,nj->ni", Jh, v)
         parts.append(_ratio(jvh - jhv, jvh))
-    return _finish(parts, detail)
+    return _finish(parts)
 
 
 def loss_fgie(oracle, generators, X, eps=DEFAULT_EPS,
-              steps=DEFAULT_FLOW_STEPS, transforms=None, detail=False):
+              steps=DEFAULT_FLOW_STEPS):
     """Equivariance defect of h under the finite transforms exp(eps v)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     h = oracle.h(X)
-    if transforms is None:
-        transforms = precompute_transforms(generators, X, eps, steps)
     parts = []
-    for gx, Jg in transforms:
+    for gx, Jg in precompute_transforms(generators, X, eps, steps):
         jgh = np.einsum("nij,nj->ni", Jg, h)
         parts.append(_ratio(jgh - oracle.h(gx), jgh))
-    return _finish(parts, detail)
+    return _finish(parts)
 
 
-def loss_igfe(oracle, generators, X, tau, steps=DEFAULT_FLOW_STEPS,
-              detail=False):
+def loss_igfe(oracle, generators, X, tau, steps=DEFAULT_FLOW_STEPS):
     """Pushforward defect: flow Jacobian applied to v versus v at the endpoint."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     parts = []
     for gen in generators:
         y_end, jvp = oracle.flow_jvp(X, gen(X), tau, steps)
         parts.append(_ratio(jvp - gen(y_end), jvp))
-    return _finish(parts, detail)
+    return _finish(parts)
 
 
 def loss_fgfe(oracle, generators, X, tau, eps=DEFAULT_EPS,
-              steps=DEFAULT_FLOW_STEPS, detail=False):
+              steps=DEFAULT_FLOW_STEPS):
     """Flow equivariance defect under the finite transforms exp(eps v)."""
     if eps == 0.0:
         raise ValueError("fgfe needs a nontrivial group element (eps != 0)")
@@ -316,12 +295,12 @@ def loss_fgfe(oracle, generators, X, tau, eps=DEFAULT_EPS,
         fgx = oracle.flow(g.transform(X), tau, steps)
         gfx = g.transform(fx)
         parts.append(_ratio(fgx - gfx, fgx - fx))
-    return _finish(parts, detail)
+    return _finish(parts)
 
 
 def precompute_transforms(generators, X, eps=DEFAULT_EPS,
                           steps=DEFAULT_FLOW_STEPS):
-    """(g . X, J_g(X)) per generator; reusable across fits on fixed data."""
+    """(g . X, J_g(X)) per generator."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = []
     for gen in generators:
@@ -331,22 +310,19 @@ def precompute_transforms(generators, X, eps=DEFAULT_EPS,
 
 
 def symmetry_loss(kind, oracle, generators, X, tau=None, eps=DEFAULT_EPS,
-                  steps=DEFAULT_FLOW_STEPS, transforms=None, detail=False):
+                  steps=DEFAULT_FLOW_STEPS):
     """Dispatch on loss kind; tau is required for the flow-based losses."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected {LOSS_KINDS}")
     if kind == "igie":
-        return loss_igie(oracle, generators, X, detail=detail)
+        return loss_igie(oracle, generators, X)
     if kind == "fgie":
-        return loss_fgie(oracle, generators, X, eps=eps, steps=steps,
-                         transforms=transforms, detail=detail)
+        return loss_fgie(oracle, generators, X, eps=eps, steps=steps)
     if tau is None:
         raise ValueError(f"loss {kind!r} integrates the flow and needs tau")
     if kind == "igfe":
-        return loss_igfe(oracle, generators, X, tau, steps=steps,
-                         detail=detail)
-    return loss_fgfe(oracle, generators, X, tau, eps=eps, steps=steps,
-                     detail=detail)
+        return loss_igfe(oracle, generators, X, tau, steps=steps)
+    return loss_fgfe(oracle, generators, X, tau, eps=eps, steps=steps)
 
 
 # -- analytic gradients for W-linear models -----------------------------------
@@ -436,7 +412,7 @@ def _flow_with_sensitivity(W, lib, X, tau, steps, V0=None):
 
 
 def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
-                       steps=DEFAULT_FLOW_STEPS, transforms=None):
+                       steps=DEFAULT_FLOW_STEPS):
     """(loss, d loss / dW) for a W-linear model; matches symmetry_loss.
 
     `model` must expose W (d, p) and lib; SindyModel qualifies.  The flow
@@ -458,7 +434,7 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
         Jth = lib.jacobian(X)
         h = Th @ W.T
         for gen in generators:
-            v, Jv = infinitesimal_action(gen, X)
+            v, Jv = gen(X), gen.jacobian(X)
             s = np.einsum("nij,nj->ni", Jv, h)
             jtv = np.einsum("npj,nj->np", Jth, v)
             u = s - jtv @ W.T
@@ -468,11 +444,9 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
             du = ds - _direct_term(jtv, d)
             acc.add(u, du, s, ds)
     elif kind == "fgie":
-        if transforms is None:
-            transforms = precompute_transforms(generators, X, eps, steps)
         Th = lib.evaluate(X)
         h = Th @ W.T
-        for gx, Jg in transforms:
+        for gx, Jg in precompute_transforms(generators, X, eps, steps):
             Thg = lib.evaluate(gx)
             s = np.einsum("nij,nj->ni", Jg, h)
             u = s - Thg @ W.T

@@ -303,8 +303,8 @@ def test_criterion_10_substitute_properties():
     for seed in range(10):
         rngs = np.random.default_rng(seed)
         Xg = rngs.uniform(0.5, 2.0, size=(200, 1))
-        cfg_g = DiscoveryConfig(gp=GpConfig(population=128, generations=30,
-                                            seed=seed))
+        cfg_g = DiscoveryConfig(seed=seed,
+                                gp=GpConfig(population=128, generations=30))
         res = gp_fit((Xg, Xg.copy()), cfg_g)
         lib1 = build_library(1, 2)
         sets = term_set(res, lib1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from symodes import __version__
+from symodes import cli
 from symodes.cli import config_hash, main, validate_config
 
 
@@ -43,6 +44,38 @@ def test_config_hash_ignores_out_and_jobs():
     assert config_hash({**base, "out": "a", "jobs": 1}) == \
         config_hash({**base, "out": "b", "jobs": 8})
     assert config_hash(base) != config_hash({**base, "seeds": {"master": 4}})
+
+
+def flag_sample(flag):
+    """(argv tail, value expected at the flag's config path)."""
+    if flag.type is bool:
+        return [], True
+    if flag.choices:
+        return [flag.choices[0]], flag.choices[0]
+    if flag.path == ("system",):
+        return ["oscillator"], "oscillator"
+    if flag.path == ("benchmark", "methods"):
+        return ["sindy, equiv-c"], ["sindy", "equiv-c"]
+    if flag.type in (int, float):
+        return ["2"], flag.type("2")
+    return ["somewhere"], "somewhere"
+
+
+def test_every_flag_writes_a_schema_valid_config_path():
+    parser = cli.build_parser()
+    seen = set()
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        for name in cli._COMMON_FLAGS + flags:
+            flag = cli.FLAGS[name]
+            tail, want = flag_sample(flag)
+            cfg = cli.merge_config(parser.parse_args([command, name] + tail))
+            validate_config(cfg)
+            node = cfg
+            for key in flag.path:
+                node = node[key]
+            assert node == want, (command, name)
+            seen.add(name)
+    assert seen == set(cli.FLAGS)
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -109,6 +142,28 @@ def test_check_symmetry_exact_pair_exits_0(tmp_path, capsys):
     assert payload["report"]["consistent"] is True
     assert payload["report"]["max"] <= 1e-10
     assert payload["provenance"]["tool_version"] == __version__
+
+
+def test_check_symmetry_points_and_tol_are_part_of_the_config(tmp_path):
+    hashes = []
+    for points in (10, 20):
+        out = tmp_path / str(points)
+        assert run_cli("check-symmetry", "--system", "oscillator",
+                       "--points", str(points), "--out", str(out)) == 0
+        payload = json.loads((out / "check_symmetry.json").read_text())
+        assert payload["n_points"] == points
+        hashes.append(payload["provenance"]["config_hash"])
+    assert hashes[0] != hashes[1]
+    # A config file can set them too, and a flag wins over the file.
+    cfg = write_config(tmp_path, {"system": "oscillator",
+                                  "check": {"points": 10, "tol": 1e-6},
+                                  "out": str(tmp_path / "file")})
+    assert run_cli("check-symmetry", "--config", cfg, "--tol", "1e-7") == 0
+    payload = json.loads((tmp_path / "file" / "check_symmetry.json")
+                         .read_text())
+    assert payload["n_points"] == 10
+    assert payload["report"]["tol"] == 1e-7
+    assert run_cli("check-symmetry", "--config", cfg, "--points", "0") == 1
 
 
 # -- nullspace -------------------------------------------------------------------

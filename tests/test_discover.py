@@ -231,7 +231,7 @@ def test_gp_fit_recovers_linear_growth():
     # sweep lives in the acceptance suite.
     rng = np.random.default_rng(7)
     X = rng.uniform(0.5, 2.0, size=(200, 1))
-    cfg = DiscoveryConfig(gp=GpConfig(population=128, generations=30, seed=7))
+    cfg = DiscoveryConfig(seed=7, gp=GpConfig(population=128, generations=30))
     res = gp_fit((X, X.copy()), cfg)
     err = np.max(np.abs(gp_evaluate(res.exprs[0], X) - X[:, 0]))
     assert err <= 1e-6
@@ -241,26 +241,40 @@ def test_gp_fit_recovers_linear_growth():
 def test_gp_fit_is_deterministic():
     rng = np.random.default_rng(8)
     X = rng.uniform(0.5, 2.0, size=(100, 1))
-    cfg = DiscoveryConfig(gp=GpConfig(population=64, generations=8, seed=3))
+    cfg = DiscoveryConfig(seed=3, gp=GpConfig(population=64, generations=8))
     a = gp_fit((X, 2.0 * X), cfg)
     b = gp_fit((X, 2.0 * X), cfg)
     assert [to_string(e) for e in a.exprs] == [to_string(e) for e in b.exprs]
     assert a.fitness == b.fitness
 
 
-def test_gp_result_term_sets_canonicalize_or_flag():
-    from symodes.discover import GpResult
-    from symodes.library import TermKey
+def test_gp_fit_symmetry_weight_and_eps_come_from_the_config(monkeypatch):
+    # symmetry= takes the generators; lambda is lambda_symm (0.1 when None)
+    # and the group elements use cfg.eps.  No generators is plain GP.
+    import symodes.discover as discover
 
-    lib = build_library(2, 2)
-    exprs = [parse("-0.1*x1 - 1.0*x2", 2), parse("exp(exp(x1))", 2)]
-    gr = GpResult(exprs=exprs, fitness=[0.0, 0.0], history=[[], []],
-                  provenance={})
-    sets = gr.term_sets(lib)
-    assert set(sets[0]) == {TermKey((1, 0), (False, False)),
-                            TermKey((0, 1), (False, False))}
-    # Nested exponentials cannot be written in the library span.
-    assert sets[1] is None
+    seen = []
+    real = discover.gp_penalty_data
+
+    def spy(gens, X, dX, eps):
+        seen.append(eps)
+        return real(gens, X, dX, eps)
+
+    monkeypatch.setattr(discover, "gp_penalty_data", spy)
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0.5, 1.5, size=(60, 2))
+    data = (X, X @ ROTATION.T)
+    gens = (Generator.linear(ROTATION),)
+    gp = GpConfig(population=16, generations=2)
+    for lam, want in ((None, 0.1), (0.5, 0.5)):
+        cfg = DiscoveryConfig(seed=2, lambda_symm=lam, eps=0.3, gp=gp)
+        prov = gp_fit(data, cfg, symmetry=gens).provenance
+        assert prov["method"] == "equiv-gp-r"
+        assert prov["lambda"] == want
+    assert seen == [0.3, 0.3]
+    prov = gp_fit(data, DiscoveryConfig(seed=2, gp=gp), symmetry=()).provenance
+    assert prov["method"] == "gp" and prov["lambda"] == 0.0
+    assert len(seen) == 2
 
 
 # -- printing ------------------------------------------------------------------

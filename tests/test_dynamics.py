@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from symodes.dynamics import (SPLIT_NAMES, SYSTEMS, GpSmoothConfig, NoiseSpec,
-                              Trajectory, add_noise, differentiate_trajectory,
+from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, NoiseSpec,
+                              Trajectory, differentiate_trajectory,
                               estimate_derivatives, get_system, gp_smooth,
                               gp_smooth_series, load_dataset, make_dataset,
-                              rk4_integrate, sample_initial, save_dataset,
-                              split_rng)
+                              sample_initial, save_dataset, split_rng)
 from symodes.integrate import rk4_record
 from symodes.symmetry import check_infinitesimal_criterion
 
@@ -160,9 +159,11 @@ def oscillator_trajectory(seed, n_samples=100, dt=0.2):
     sys = get_system("oscillator")
     rng = split_rng(seed, 0)
     x0 = sample_initial(sys, rng)
-    stride = int(round(dt / sys.data.internal_dt))
-    traj = rk4_integrate(sys.oracle().h, x0, sys.data.internal_dt,
-                         (n_samples - 1) * stride, stride)
+    stride = int(round(dt / INTERNAL_DT))
+    states = rk4_record(sys.oracle().h, x0, INTERNAL_DT,
+                        (n_samples - 1) * stride, stride)
+    traj = Trajectory(t0=0.0, dt=INTERNAL_DT * stride, states=states.copy(),
+                      clean_states=states)
     return traj, rng
 
 
@@ -204,15 +205,14 @@ def test_denoising_improves_on_at_least_95_percent_of_trajectories():
     noise = NoiseSpec("additive_relative", 0.2)
     rngs = [split_rng(123, j) for j in range(50)]
     x0 = np.array([sample_initial(sys, rng) for rng in rngs])
-    stride = int(round(sys.data.dt / sys.data.internal_dt))
-    rec = rk4_record(sys.oracle().h, x0, sys.data.internal_dt, 99 * stride,
-                     stride)
+    stride = int(round(sys.data.dt / INTERNAL_DT))
+    rec = rk4_record(sys.oracle().h, x0, INTERNAL_DT, 99 * stride, stride)
     improved = 0
     for j in range(50):
         clean = rec[:, j, :]
-        tr = Trajectory(t0=0.0, dt=sys.data.dt, states=clean.copy(),
+        tr = Trajectory(t0=0.0, dt=sys.data.dt,
+                        states=noise.apply(clean, rngs[j]),
                         clean_states=clean)
-        tr = add_noise(tr, noise, rngs[j])
         sm = gp_smooth(tr).smoothed
         if (np.linalg.norm(sm - clean)
                 < np.linalg.norm(tr.states - clean)):
@@ -281,17 +281,16 @@ def test_make_dataset_matches_one_trajectory_at_a_time():
     # integrating it alone up to BLAS summation order.
     sys = get_system("oscillator")
     ds = small_dataset(seed=4)
-    stride = int(round(ds.dt / sys.data.internal_dt))
+    stride = int(round(ds.dt / INTERNAL_DT))
     trajs = ds.train + ds.val + ds.test
     for j, tr in enumerate(trajs):
         rng = split_rng(4, j)
         x0 = sample_initial(sys, rng)
         np.testing.assert_array_equal(tr.clean_states[0], x0)
-        alone = rk4_integrate(sys.oracle().h, x0, sys.data.internal_dt,
-                              (tr.n_samples - 1) * stride, stride)
-        np.testing.assert_allclose(tr.clean_states, alone.clean_states,
-                                   rtol=0, atol=1e-14)
-        noisy = sys.data.noise.apply(alone.clean_states, rng)
+        alone = rk4_record(sys.oracle().h, x0, INTERNAL_DT,
+                           (tr.n_samples - 1) * stride, stride)
+        np.testing.assert_allclose(tr.clean_states, alone, rtol=0, atol=1e-14)
+        noisy = sys.data.noise.apply(alone, rng)
         np.testing.assert_allclose(tr.states, noisy, rtol=0, atol=1e-14)
 
 

@@ -9,8 +9,8 @@ from symodes.library import TermKey, build_library
 from symodes.symmetry import (DegenerateLossError, Generator, GroupElement,
                               check_infinitesimal_criterion, loss_fgfe,
                               loss_fgie, loss_igfe, loss_igie,
-                              matrix_exponential, precompute_transforms,
-                              symmetry_loss, symmetry_loss_grad)
+                              matrix_exponential, symmetry_loss,
+                              symmetry_loss_grad)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -170,16 +170,6 @@ def test_symmetry_loss_dispatch_and_validation():
         symmetry_loss("igfe", model, gens, X)  # tau is required
     with pytest.raises(ValueError):
         loss_fgfe(model, gens, X, tau=0.2, eps=0.0)
-
-
-def test_precomputed_transforms_match_direct_fgie():
-    model = broken_model()
-    gens = [Generator.linear(ROTATION)]
-    X = np.random.default_rng(21).normal(size=(12, 2)) + 1.5
-    pre = precompute_transforms(gens, X, eps=0.1)
-    direct = loss_fgie(model, gens, X, eps=0.1)
-    cached = loss_fgie(model, gens, X, transforms=pre)
-    assert cached == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["igie", "fgie", "igfe", "fgfe"])
