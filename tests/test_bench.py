@@ -54,20 +54,12 @@ def test_term_set_min_coef_guard():
 
 
 def test_term_set_noncanonical_sentinel():
-    from symodes.discover import GpResult
     from symodes.expressions import parse
 
     lib = build_library(2, 2)
-    # Nested exponentials cannot be written in the library span.
-    exprs = [parse("exp(exp(x1))", 2), parse("x1", 2),
-             parse("-0.1*x1 - 1.0*x2", 2)]
-    gp = GpResult(exprs=exprs, fitness=[], history=[])
-    for model in (exprs, gp):
-        sets = term_set(model, lib)
-        assert sets[0] == (NONCANONICAL, {})
-        assert sets[1][0] == ("x1",)
-        assert sets[2][0] == ("x1", "x2")
-        assert sets[2][1] == pytest.approx({"x1": -0.1, "x2": -1.0})
+    sets = term_set([parse("exp(exp(x1))", 2), parse("x1", 2)], lib)
+    assert sets[0] == (NONCANONICAL, {})
+    assert sets[1][0] == ("x1",)
 
 
 def test_success_requires_exact_set_match():

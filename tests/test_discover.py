@@ -277,6 +277,21 @@ def test_gp_fit_symmetry_weight_and_eps_come_from_the_config(monkeypatch):
     assert len(seen) == 2
 
 
+def test_gp_result_term_sets_canonicalize_or_flag():
+    from symodes.bench import NONCANONICAL, term_set
+    from symodes.discover import GpResult
+
+    lib = build_library(2, 2)
+    exprs = [parse("-0.1*x1 - 1.0*x2", 2), parse("exp(exp(x1))", 2)]
+    gr = GpResult(exprs=exprs, fitness=[0.0, 0.0], history=[[], []],
+                  provenance={})
+    sets = term_set(gr, lib)
+    assert sets[0][0] == ("x1", "x2")
+    assert sets[0][1] == pytest.approx({"x1": -0.1, "x2": -1.0})
+    # Nested exponentials cannot be written in the library span.
+    assert sets[1] == (NONCANONICAL, {})
+
+
 # -- printing ------------------------------------------------------------------
 
 
