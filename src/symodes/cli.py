@@ -381,6 +381,10 @@ def cmd_check_symmetry(cfg):
 def cmd_discover(cfg):
     master = cfg.get("seeds", {}).get("master", 0)
     if "dataset" in cfg:
+        if cfg.get("data"):
+            raise ConfigError(
+                f"config error at data: {sorted(cfg['data'])} would generate "
+                "data, but --dataset loads a saved dataset")
         ds = load_dataset(cfg["dataset"])
         system = get_system(ds.system)
     elif "system" in cfg:

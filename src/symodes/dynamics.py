@@ -315,12 +315,23 @@ def sample_initial(system, rng):
 # subsample of at most SMOOTH_MAX_TRAIN points; the posterior mean is then
 # evaluated on the full grid from at most SMOOTH_MAX_INDUCING conditioning
 # points.
+#
+# Every series on one time grid shares its factorizations.  With signal scale
+# sd and noise factor nf the kernel is K = sd^2 (K1(ell) + nf^2 I), so sd
+# factors out: one Cholesky factor of K1 + nf^2 I per (ell, nf) candidate
+# gives every series' log marginal likelihood through one multi-column solve
+# (the -m log sd term is added per series), and one factor of the inducing
+# kernel per chosen (ell, nf) gives the posterior mean of every series that
+# chose it, in which sd cancels.  The cross-kernel K1(t, t_inducing) is formed
+# SMOOTH_ROW_BLOCK rows at a time, so the n x SMOOTH_MAX_INDUCING matrix
+# (160 MB at 10,000 samples) is never held whole.
 
 SMOOTH_LENGTHSCALE_FACTORS = (5.0, 10.0, 20.0, 50.0, 100.0)
 SMOOTH_NOISE_FACTORS = (1e-4, 0.7)
 SMOOTH_MAX_TRAIN = 500
 SMOOTH_MAX_INDUCING = 2000
 SMOOTH_JITTER = 1e-8
+SMOOTH_ROW_BLOCK = 1000
 
 
 def _even_subset(n, k):
@@ -334,71 +345,100 @@ def _se_kernel(ta, tb, ell):
     return np.exp(-0.5 * (diff / ell) ** 2)
 
 
-def _chol_with_jitter(K, scale):
+def _chol_with_jitter(K):
     for jit in (0.0, SMOOTH_JITTER, 1e-4):
         try:
             return scipy.linalg.cho_factor(
-                K + jit * scale * np.eye(K.shape[0]), lower=True), jit
+                K + jit * np.eye(K.shape[0]), lower=True), jit
         except scipy.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
         "kernel matrix not positive definite even with jitter 1e-4")
 
 
-def gp_smooth_series(t, y):
-    """Posterior-mean smoothing of one scalar series; returns (mean, info)."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    sd = float(y.std())
-    if sd == 0.0 or n < 3:
-        return y.copy(), {"degenerate": True}
+def _select_hyperparameters(t, Ys, sd):
+    """(lml, chosen, candidates, m) maximizing each series' marginal likelihood.
+
+    Ys holds one series per row on the grid t.  candidates lists the (ell, nf)
+    pairs that factorized, in grid order; chosen[i] indexes the first one at
+    which series i attains its maximum lml[i]; m is the training size.
+    """
     dt = float(t[1] - t[0])
-    idx = _even_subset(n, SMOOTH_MAX_TRAIN)
-    ts, ys = t[idx], y[idx]
-    mu = float(ys.mean())
-    yc = ys - mu
-    m = len(idx)
-    sig2 = sd ** 2
-    best = None
+    idx = _even_subset(len(t), SMOOTH_MAX_TRAIN)
+    ts, m = t[idx], len(idx)
+    ys = Ys[:, idx]
+    Yc = (ys - ys.mean(axis=1)[:, None]).T
+    log_sd = np.log(sd)
+    k = len(sd)
+    best_lml = np.full(k, -np.inf)
+    best = np.full(k, -1)
+    cands = []
     for lf in SMOOTH_LENGTHSCALE_FACTORS:
-        ell = lf * dt
-        K1 = _se_kernel(ts, ts, ell)
+        K1 = _se_kernel(ts, ts, lf * dt)
         for nf in SMOOTH_NOISE_FACTORS:
-            K = sig2 * K1 + ((nf * sd) ** 2) * np.eye(m)
             try:
-                cho, _ = _chol_with_jitter(K, sig2)
+                cho, _ = _chol_with_jitter(K1 + nf ** 2 * np.eye(m))
             except np.linalg.LinAlgError:
                 continue
-            alpha = scipy.linalg.cho_solve(cho, yc)
-            lml = (-0.5 * float(yc @ alpha)
-                   - float(np.log(np.diag(cho[0])).sum())
+            alpha = scipy.linalg.cho_solve(cho, Yc)
+            lml = (-0.5 * np.einsum("ij,ij->j", Yc, alpha) / sd ** 2
+                   - float(np.log(np.diag(cho[0])).sum()) - m * log_sd
                    - 0.5 * m * np.log(2.0 * np.pi))
-            if best is None or lml > best[0]:
-                best = (lml, ell, nf * sd)
-    if best is None:
+            take = (best < 0) | (lml > best_lml)
+            best_lml[take] = lml[take]
+            best[take] = len(cands)
+            cands.append((lf * dt, nf))
+    if not cands:
         raise np.linalg.LinAlgError("no hyperparameter candidate factorized")
-    _, ell, noise = best
+    return best_lml, best, cands, m
+
+
+def gp_smooth_series(t, y):
+    """Posterior-mean smoothing of every column of y on the shared grid t.
+
+    y is (n,) or (n, k); returns (mean, info) with mean shaped like y and
+    info one dict per column (a single dict for 1-D y).  A column with zero
+    spread, or a grid under three points, passes through unchanged with
+    info {"degenerate": True}.  A 1-D series is the one-column case.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Ys = np.ascontiguousarray(np.atleast_2d(y.T))   # one series per row
+    k, n = Ys.shape
+    mean = Ys.T.copy()
+    infos = [{"degenerate": True} for _ in range(k)]
+    sd = Ys.std(axis=1)
+    live = np.flatnonzero(sd != 0.0) if n >= 3 else np.arange(0)
+    lml, chosen = np.zeros(k), np.full(k, -1)
+    if live.size:
+        lml[live], chosen[live], cands, m = _select_hyperparameters(
+            t, Ys[live], sd[live])
     ind = _even_subset(n, SMOOTH_MAX_INDUCING)
-    ti, yi = t[ind], y[ind]
-    mu_i = float(yi.mean())
-    K = sig2 * _se_kernel(ti, ti, ell) + noise ** 2 * np.eye(len(ind))
-    cho, jit = _chol_with_jitter(K, sig2)
-    alpha = scipy.linalg.cho_solve(cho, yi - mu_i)
-    mean = sig2 * _se_kernel(t, ti, ell) @ alpha + mu_i
-    info = {"lengthscale": ell, "signal": sd, "noise": noise,
-            "lml": best[0], "jitter": jit, "n_train": m,
-            "n_inducing": len(ind)}
-    return mean, info
+    ti = t[ind]
+    for c in np.unique(chosen[live]):
+        ell, nf = cands[c]
+        sel = np.flatnonzero(chosen == c)
+        yi = Ys[sel][:, ind]
+        mu_i = yi.mean(axis=1)
+        cho, jit = _chol_with_jitter(_se_kernel(ti, ti, ell)
+                                     + nf ** 2 * np.eye(len(ind)))
+        alpha = scipy.linalg.cho_solve(cho, (yi - mu_i[:, None]).T)
+        for r in range(0, n, SMOOTH_ROW_BLOCK):
+            rows = slice(r, r + SMOOTH_ROW_BLOCK)
+            mean[rows, sel] = _se_kernel(t[rows], ti, ell) @ alpha + mu_i
+        for j in sel:
+            infos[j] = {"lengthscale": ell, "signal": float(sd[j]),
+                        "noise": nf * float(sd[j]), "lml": float(lml[j]),
+                        "jitter": jit, "n_train": m, "n_inducing": len(ind)}
+    if y.ndim == 1:
+        return mean[:, 0], infos[0]
+    return mean, infos
 
 
 def gp_smooth(traj):
-    """Trajectory with the smoothed field filled in, one GP per dimension."""
-    out = np.empty_like(traj.states)
-    t = traj.times
-    for i in range(traj.dim):
-        out[:, i], _ = gp_smooth_series(t, traj.states[:, i])
-    return replace(traj, smoothed=out)
+    """Trajectory with the smoothed field filled in, its d series in one call."""
+    mean, _ = gp_smooth_series(traj.times, traj.states)
+    return replace(traj, smoothed=mean)
 
 
 # -- derivative estimation -----------------------------------------------------
@@ -490,6 +530,12 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     because Theta @ W.T goes through BLAS, whose summation order depends on
     the batch shape (they differ by under 1e-15 on oscillator, seir and
     glycolytic at the published conventions).
+
+    Every series of the smoothed splits lies on one time grid, so they are
+    smoothed by a single gp_smooth_series call: each hyperparameter
+    candidate is factorized once for all of them (see the smoothing notes
+    above).  A series' smoothed states therefore match smoothing its
+    trajectory alone up to BLAS summation order.
     """
     if isinstance(system, str):
         system = get_system(system)
@@ -513,17 +559,21 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
             continue
         recorded = rk4_record(oracle.h, x0, INTERNAL_DT,
                               (n_samples - 1) * stride, stride)
-        trajs = []
-        for j in range(count):
-            clean = recorded[:, j, :]
-            tr = Trajectory(t0=0.0, dt=dt, states=noise.apply(clean, rngs[j]),
-                            clean_states=clean, seed=offset + j)
-            if split in smooth_splits:
-                tr = gp_smooth(tr)
-                tr = differentiate_trajectory(tr)
-            trajs.append(tr)
-        splits[split] = trajs
+        splits[split] = [
+            Trajectory(t0=0.0, dt=dt, states=noise.apply(recorded[:, j, :],
+                                                         rngs[j]),
+                       clean_states=recorded[:, j, :], seed=offset + j)
+            for j in range(count)]
         offset += count
+    smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits[s]]
+    if smoothed:
+        trajs = [tr for s in smoothed for tr in splits[s]]
+        means, _ = gp_smooth_series(trajs[0].times,
+                                    np.hstack([tr.states for tr in trajs]))
+        per_traj = iter(np.hsplit(means, len(trajs)))
+        for s in smoothed:
+            splits[s] = [differentiate_trajectory(
+                replace(tr, smoothed=next(per_traj).copy())) for tr in splits[s]]
     return Dataset(system=system.name, dim=system.dim, seed=int(seed), dt=dt,
                    noise=noise, splits=splits, threshold=spec.threshold,
                    meta={"n_samples": n_samples, "internal_dt": INTERNAL_DT,

@@ -236,10 +236,8 @@ def test_load_report_accepts_truth_terms_in_sorted_order(tmp_path):
     assert back["aggregates"] == report["aggregates"]
 
 
-def test_benchmark_hooks_find_every_patched_name():
-    # perfbench/run.py traces symodes by swapping module globals and class
-    # attributes as their callers look them up; a rename must fail here, not
-    # silently drop a layer from the benchmark.
+def perfbench_hooks():
+    """(perfbench's tracer module, a fresh Tracer, run.hooks for a round)."""
     import os
     import sys
 
@@ -265,7 +263,17 @@ def test_benchmark_hooks_find_every_patched_name():
             "expressions": symodes.expressions}
     T = tracer.Tracer()
     captured = {"dataset_s": [], "datasets": [], "gp": {}}
-    triples = run.hooks(mods, T, captured)
+    return tracer, T, run.hooks(mods, T, captured)
+
+
+def test_benchmark_hooks_find_every_patched_name():
+    # perfbench/run.py traces symodes by swapping module globals and class
+    # attributes as their callers look them up; a rename must fail here, not
+    # silently drop a layer from the benchmark.
+    import symodes.dynamics
+    from symodes import bench
+
+    tracer, T, triples = perfbench_hooks()
     for owner, attr, _ in triples:
         assert attr in owner.__dict__, (owner, attr)
     # The fitters call the traced names: one basis span per equiv-c round.
@@ -283,6 +291,38 @@ def test_benchmark_hooks_find_every_patched_name():
         len(model.provenance["nullities"])
     assert S["discover.equiv-c"]["calls"] == 1
     assert S["discover.sindy"]["calls"] == 1
+
+
+def test_benchmark_traces_the_shared_smoother():
+    # The smoother's per-layer metrics come from the dynamics.smooth and
+    # dynamics.cholesky spans.  One make_dataset is one smoother call, which
+    # factorizes at most once per (lengthscale, noise) candidate and once per
+    # candidate some series chose.
+    from symodes import bench, dynamics
+
+    tracer, T, triples = perfbench_hooks()
+    infos = []
+
+    def keep_infos(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            infos.append(out[1])
+            return out
+        return wrapped
+
+    triples = [(o, a, keep_infos(v) if (o, a) == (dynamics, "gp_smooth_series")
+                else v) for o, a, v in triples]
+    with tracer.patched(triples):
+        bench.make_dataset("oscillator", 3, n_samples=40, counts=(4, 2, 1))
+    S = T.summary()
+    assert S["dynamics.smooth"]["calls"] == 1 == len(infos)
+    candidates = (len(dynamics.SMOOTH_LENGTHSCALE_FACTORS)
+                  * len(dynamics.SMOOTH_NOISE_FACTORS))
+    chosen = {(i["lengthscale"], round(i["noise"] / i["signal"], 9))
+              for i in infos[0]}
+    assert len(infos[0]) == 12
+    assert 0 < S["dynamics.cholesky"]["calls"] <= candidates + len(chosen)
+    assert S["dynamics.differentiate"]["calls"] == 6
 
 
 def test_na_formatting_for_zero_successful_runs():

@@ -213,6 +213,28 @@ def test_generate_then_discover_round_trip(tmp_path, capsys):
     assert coeffs[1]["x1"] == pytest.approx(1.0, abs=1e-2)
 
 
+def test_discover_rejects_data_keys_with_a_saved_dataset(tmp_path, capsys):
+    # A saved dataset is used as written: a data flag next to --dataset
+    # would change the config hash and nothing else, so it is a config error.
+    data = tmp_path / "data"
+    assert run_cli("generate", "--system", "oscillator", "--noise", "0",
+                   "--samples", "30", "--train", "2", "--val", "0",
+                   "--test", "0", "--seed", "7", "--out", str(data)) == 0
+    capsys.readouterr()
+    model_dir = tmp_path / "model"
+    assert run_cli("discover", "--dataset", str(data), "--method", "sindy",
+                   "--noise", "0.5", "--out", str(model_dir)) == 1
+    assert "data" in capsys.readouterr().err
+    assert not (model_dir / "model.json").exists()
+    cfg = write_config(tmp_path, {"dataset": str(data),
+                                  "data": {"n_samples": 20},
+                                  "out": str(model_dir)})
+    assert run_cli("discover", "--config", cfg, "--method", "sindy") == 1
+    assert "data" in capsys.readouterr().err
+    assert run_cli("discover", "--dataset", str(data), "--method", "sindy",
+                   "--out", str(model_dir)) == 0
+
+
 def test_flag_overrides_config_file(tmp_path):
     # The config file asks for noisy data; the command line wins.
     data = tmp_path / "d"

@@ -1,5 +1,7 @@
 """Registry systems, samplers, noise, smoothing, and dataset round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,27 @@ def test_denoising_improves_on_at_least_95_percent_of_trajectories():
     assert improved >= 48
 
 
+def test_shared_smoother_matches_one_series_at_a_time():
+    # One call smooths a clean column, a 20%-noise column and a constant
+    # column; each gets the hyperparameters and mean of its own 1-D call.
+    traj, rng = oscillator_trajectory(15)
+    clean = traj.clean_states[:, 0]
+    noisy = NoiseSpec("additive_relative", 0.2).apply(
+        traj.clean_states, rng)[:, 1]
+    Y = np.stack([clean, noisy, np.full_like(clean, 0.75)], axis=1)
+    mean, infos = gp_smooth_series(traj.times, Y)
+    assert mean.shape == Y.shape and len(infos) == 3
+    assert infos[0]["noise"] == pytest.approx(1e-4 * clean.std(), rel=1e-12)
+    assert infos[1]["noise"] == pytest.approx(0.7 * noisy.std(), rel=1e-12)
+    assert infos[2] == {"degenerate": True}
+    np.testing.assert_array_equal(mean[:, 2], Y[:, 2])
+    for j in range(2):
+        alone, info = gp_smooth_series(traj.times, Y[:, j])
+        assert np.abs(mean[:, j] - alone).max() <= 1e-12 * np.abs(alone).max()
+        assert infos[j]["lengthscale"] == info["lengthscale"]
+        assert infos[j]["noise"] == info["noise"]
+
+
 def test_differentiate_trajectory_uses_smoothed_states():
     traj, _ = oscillator_trajectory(14, n_samples=40)
     sm = gp_smooth(traj)
@@ -292,6 +315,28 @@ def test_make_dataset_matches_one_trajectory_at_a_time():
         np.testing.assert_allclose(tr.clean_states, alone, rtol=0, atol=1e-14)
         noisy = sys.data.noise.apply(alone, rng)
         np.testing.assert_allclose(tr.states, noisy, rtol=0, atol=1e-14)
+    # All smoothed series share one smoother call; each matches smoothing
+    # its trajectory alone up to BLAS summation order.
+    for tr in ds.train + ds.val:
+        alone = differentiate_trajectory(gp_smooth(replace(tr, smoothed=None,
+                                                           derivs=None)))
+        scale = np.abs(alone.smoothed).max()
+        assert np.abs(tr.smoothed - alone.smoothed).max() <= 1e-12 * scale
+        assert np.abs(tr.derivs - alone.derivs).max() <= 1e-12 * scale / ds.dt
+
+
+def test_lotka_volterra_dataset_smoothing_beats_raw():
+    # The published conventions: 220 smoothed series of 10,000 samples with
+    # additive noise at 0.99 of each series' spread.  Every smoothed series
+    # lands closer to the clean states than the raw observations.
+    ds = make_dataset("lotka_volterra", 0)
+    trajs = ds.train + ds.val
+    assert len(trajs) == 220
+    for tr in trajs:
+        smooth = np.sqrt(np.mean((tr.smoothed - tr.clean_states) ** 2, axis=0))
+        raw = np.sqrt(np.mean((tr.states - tr.clean_states) ** 2, axis=0))
+        assert (smooth < raw).all(), (tr.seed, smooth, raw)
+    assert all(tr.smoothed is None for tr in ds.test)
 
 
 def test_make_dataset_rejects_incompatible_dt():
