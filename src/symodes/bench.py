@@ -29,7 +29,7 @@ from . import __version__ as _tool_version
 from .discover import (DiscoveryConfig, GpResult, equiv_c_fit, equiv_r_fit,
                        gp_fit, stlsq)
 from .dynamics import (INTERNAL_DT, NoiseSpec, SindyModel, get_system,
-                       make_dataset)
+                       linear_field, make_dataset)
 from .integrate import rk4_final
 from .library import canonicalize
 
@@ -139,49 +139,75 @@ def _rmse_one(records, truth_coeffs, mode, eq):
 # -- long-term prediction ---------------------------------------------------------
 
 
-def long_term_error(model, system, test_ics, horizon, checkpoints):
-    """Squared prediction error of a learned field against the true flow.
+def long_term_error(models, system, test_ics, horizon, checkpoints):
+    """Squared prediction errors of learned fields against the true flow.
 
-    Both fields are integrated from each initial condition; at every
-    checkpoint the per-state mean squared error is recorded.  States whose
-    norm exceeds 1e6 (or go non-finite) are marked divergent from then on
-    and excluded from the aggregates but counted.
+    models maps a name to a model with a vector field h (a SindyModel or a
+    GpResult).  Every model and the true field are integrated from each
+    initial condition; at every checkpoint each model's per-state mean
+    squared error against the true state is recorded.  States whose norm
+    exceeds 1e6 (or go non-finite) are marked divergent from then on and
+    excluded from the aggregates but counted.
 
-    Returns {"checkpoints", "errors" (n_cp, n_ic), "diverged" (n_cp, n_ic)}.
+    The true field and every SindyModel over the system's library advance
+    as one stacked (M, B, d) batch: each RK4 stage evaluates Theta once and
+    multiplies it by each W block.  That field gives a row the bits it gets
+    alone (see dynamics.linear_field), so a model's result does not depend
+    on which models share the call, and a diverging block leaves the
+    others untouched.  Any other model (an expression tree) is integrated
+    on its own and compared with the same true path.
+
+    Returns {name: {"checkpoints", "errors" (n_cp, n_ic),
+    "diverged" (n_cp, n_ic)}}.
     """
     checkpoints = list(checkpoints)
     if any(t < 0 or t > horizon + 1e-12 for t in checkpoints):
         raise ValueError("checkpoints must lie inside [0, horizon]")
     if sorted(checkpoints) != checkpoints:
         raise ValueError("checkpoints must be sorted ascending")
-    oracle = system.oracle()
+    lib = system.library()
+    linear = [m for m, model in models.items()
+              if isinstance(model, SindyModel)
+              and model.lib.terms == lib.terms]
+    others = [m for m in models if m not in linear]
+    # (M, 1, d, p): block 0 is the truth, block i + 1 the i-th linear model.
+    Ws = np.stack([system.truth_matrix(lib)]
+                  + [models[m].W for m in linear])[:, None]
+
+    def stacked_h(Y):
+        return linear_field(lib.evaluate(Y), Ws)
+
     X = np.atleast_2d(np.asarray(test_ics, dtype=float))
     B = X.shape[0]
     n_cp = len(checkpoints)
-    errors = np.zeros((n_cp, B))
-    diverged = np.zeros((n_cp, B), dtype=bool)
-    ym = X.copy()
-    yt = X.copy()
+    Y = np.stack([X] * len(Ws))
+    ys = {m: X.copy() for m in others}
+    out = {m: {"checkpoints": list(checkpoints),
+               "errors": np.zeros((n_cp, B)),
+               "diverged": np.zeros((n_cp, B), dtype=bool)} for m in models}
+    bad = {m: np.zeros(B, dtype=bool) for m in models}
     t = 0.0
-    bad = np.zeros(B, dtype=bool)
     with np.errstate(all="ignore"):
         for j, tc in enumerate(checkpoints):
             seg = tc - t
             if seg > 0:
                 n = max(1, int(round(seg / INTERNAL_DT)))
-                ym = rk4_final(model.h, ym, seg, n)
-                yt = rk4_final(oracle.h, yt, seg, n)
+                Y = rk4_final(stacked_h, Y, seg, n)
+                for m in others:
+                    ys[m] = rk4_final(models[m].h, ys[m], seg, n)
                 t = tc
-            finite = np.isfinite(ym).all(axis=1)
-            norm_ok = np.zeros(B, dtype=bool)
-            norm_ok[finite] = (np.linalg.norm(ym[finite], axis=1)
-                               <= DIVERGENCE_NORM)
-            bad |= ~(finite & norm_ok)
-            diverged[j] = bad
-            diff = np.where(bad[:, None], 0.0, ym - yt)
-            errors[j] = (diff * diff).mean(axis=1)
-    return {"checkpoints": checkpoints, "errors": errors,
-            "diverged": diverged}
+            ys.update(zip(linear, Y[1:]))
+            for m in models:
+                ym = ys[m]
+                finite = np.isfinite(ym).all(axis=1)
+                norm_ok = np.zeros(B, dtype=bool)
+                norm_ok[finite] = (np.linalg.norm(ym[finite], axis=1)
+                                   <= DIVERGENCE_NORM)
+                bad[m] |= ~(finite & norm_ok)
+                out[m]["diverged"][j] = bad[m]
+                diff = np.where(bad[m][:, None], 0.0, ym - Y[0])
+                out[m]["errors"][j] = (diff * diff).mean(axis=1)
+    return out
 
 
 # -- benchmark configuration and workers -------------------------------------------
@@ -233,8 +259,10 @@ def _bench_worker(args):
             else tuple(bc.generators))
     base_cfg = bc.discovery or DiscoveryConfig(
         threshold=system.data.threshold)
+    t0 = time.perf_counter()
     ds = make_dataset(system, seed=derive_seed(bc.seed, k),
                       noise=bc.noise, **dict(bc.data))
+    stages = {"dataset": time.perf_counter() - t0}
     lib = system.library()
     truth_sets = [sorted(t.label() for t in s)
                   for s in system.truth_term_sets()]
@@ -245,7 +273,7 @@ def _bench_worker(args):
     ics = np.array([tr.clean_states[0]
                     for tr in ds.test[:bc.ltp_ics]])
     records = []
-    ltp = {}
+    models = {}
     timings = {}
     for mi, method in enumerate(bc.methods):
         fit_seed = derive_seed(bc.seed, k, mi)
@@ -277,10 +305,12 @@ def _bench_worker(args):
                           for s in labels],
             "coefficients": coeffs,
             "eq_success": flags, "joint_success": joint, "error": ""})
-        if len(ics):
-            ltp[method] = long_term_error(model, system, ics, horizon,
-                                          checkpoints)
-    return records, ltp, timings, checkpoints
+        models[method] = model
+    t0 = time.perf_counter()
+    ltp = (long_term_error(models, system, ics, horizon, checkpoints)
+           if len(ics) and models else {})
+    stages["ltp"] = time.perf_counter() - t0
+    return records, ltp, timings, stages
 
 
 # -- aggregation and reports -------------------------------------------------------
@@ -361,6 +391,7 @@ def run_benchmark(bc):
             ltp_parts.setdefault(m, []).append(part)
     timings = {m: [res[2].get(m) for res in results]
                for m in bc.methods}
+    stages = {s: [res[3][s] for res in results] for s in ("dataset", "ltp")}
     report = {
         "format": "symodes-benchmark-report",
         "format_version": 1,
@@ -373,7 +404,8 @@ def run_benchmark(bc):
         "aggregates": aggregate_records(records, truth_coeffs),
         "ltp": _aggregate_ltp(ltp_parts),
     }
-    report["timings"] = {"total_seconds": total, "per_run": timings}
+    report["timings"] = {"total_seconds": total, "per_run": timings,
+                         "stages": stages}
     return report
 
 

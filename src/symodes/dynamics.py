@@ -149,7 +149,7 @@ class SindyModel:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
+        self.W = np.ascontiguousarray(self.W, dtype=float)
         if self.W.ndim != 2 or self.W.shape[1] != self.lib.size:
             raise ValueError(
                 f"W must be (d, {self.lib.size}), got {self.W.shape}")
@@ -159,7 +159,7 @@ class SindyModel:
         return self.W.shape[0]
 
     def h(self, X):
-        return self.lib.evaluate(X) @ self.W.T
+        return linear_field(self.lib.evaluate(X), self.W)
 
     def h_jacobian(self, X):
         return np.einsum("ip,...pj->...ij", self.W, self.lib.jacobian(X))
@@ -183,6 +183,18 @@ class SindyModel:
 
     def equations(self):
         return equation_strings(self.lib, self.W)
+
+
+def linear_field(theta, W):
+    """W Theta: sum over mu of W[..., i, mu] * theta[..., mu].
+
+    A fixed-order sum over the library terms, not BLAS theta @ W.T, whose
+    summation order depends on the batch shape: with C-ordered theta and W
+    a row gets the same bits whatever rows it is evaluated with.  Leading
+    axes of W broadcast against theta's, so a stack of models (M, 1, d, p)
+    evaluates states (M, B, p) in one call.
+    """
+    return (theta[..., None, :] * W).sum(axis=-1)
 
 
 def equation_strings(lib, W):
@@ -525,11 +537,11 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     integration step is always INTERNAL_DT.  Trajectory j (in
     global order train, val, test) draws its initial condition and then its
     noise from split_rng(seed, j), so the random streams do not depend on
-    how trajectories are batched.  Integration runs batched per split; the
-    states are not bit-identical to integrating one trajectory at a time,
-    because Theta @ W.T goes through BLAS, whose summation order depends on
-    the batch shape (they differ by under 1e-15 on oscillator, seir and
-    glycolytic at the published conventions).
+    how trajectories are batched.  All trajectories of all splits are
+    integrated in one batch by a single rk4_record call.  The oracle's
+    right-hand side gives the same bits for a row whatever the batch (see
+    linear_field), so each trajectory's clean and noisy states equal
+    integrating it alone, bit for bit.
 
     Every series of the smoothed splits lies on one time grid, so they are
     smoothed by a single gp_smooth_series call: each hyperparameter
@@ -548,23 +560,19 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     if abs(stride * INTERNAL_DT - dt) > 1e-12:
         raise ValueError(
             f"dt={dt} is not a multiple of the internal step {INTERNAL_DT}")
-    oracle = system.oracle()
-    splits = {}
-    offset = 0
-    for split, count in zip(SPLIT_NAMES, counts):
-        rngs = [split_rng(seed, offset + j) for j in range(count)]
+    rngs = [split_rng(seed, j) for j in range(sum(counts))]
+    trajs = []
+    if rngs:
         x0 = np.array([sample_initial(system, rng) for rng in rngs])
-        if count == 0:
-            splits[split] = []
-            continue
-        recorded = rk4_record(oracle.h, x0, INTERNAL_DT,
+        recorded = rk4_record(system.oracle().h, x0, INTERNAL_DT,
                               (n_samples - 1) * stride, stride)
-        splits[split] = [
-            Trajectory(t0=0.0, dt=dt, states=noise.apply(recorded[:, j, :],
-                                                         rngs[j]),
-                       clean_states=recorded[:, j, :], seed=offset + j)
-            for j in range(count)]
-        offset += count
+        trajs = [Trajectory(t0=0.0, dt=dt,
+                            states=noise.apply(recorded[:, j, :], rng),
+                            clean_states=recorded[:, j, :], seed=j)
+                 for j, rng in enumerate(rngs)]
+    bounds = np.cumsum((0,) + tuple(counts))
+    splits = {split: trajs[lo:hi]
+              for split, lo, hi in zip(SPLIT_NAMES, bounds, bounds[1:])}
     smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits[s]]
     if smoothed:
         trajs = [tr for s in smoothed for tr in splits[s]]

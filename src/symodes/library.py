@@ -6,6 +6,15 @@ constant term first (1, x1, .., xd, x1^2, x1*x2, ...), optionally followed by
 exp(x1)..exp(xd).  Candidate dynamics are linear combinations h(x) = W
 Theta(x) with W of shape (d, p).
 
+Every monomial of degree at most q is the product of exactly q factors drawn
+from [1, x1, .., xd] (x1*x2 in a degree-3 library is 1 * x1 * x2), so the
+library stores that (p_mono, q) factor table once and evaluates Theta with
+one gather and a fixed-order product of length q: no powers, and the bits of
+a row do not depend on how many rows are evaluated together.  Derivatives
+reuse Theta: d(x^e)/dx_j = e_j x^(e - 1_j) is itself a library monomial, so
+the Jacobian is one gather from Theta times a constant coefficient table, and
+the Hessian likewise with e - 1_j - 1_k.
+
 Canonicalization maps an arbitrary expression tree onto library coordinates
 when possible, which is how true coefficient matrices and term-set
 comparisons are computed; structure matrices of linear generators follow
@@ -82,14 +91,12 @@ class FunctionLibrary:
                                           self.include_exponentials))
         self.size = len(self.terms)
         self._index = {t: i for i, t in enumerate(self.terms)}
-        self._n_mono = sum(1 for t in self.terms if not any(t.expflags))
-        # exponent matrix for the monomial block, (n_mono, d)
-        self._E = np.array([t.exponents for t in self.terms[:self._n_mono]],
-                           dtype=float)
+        n_mono = sum(1 for t in self.terms if not any(t.expflags))
+        self._factors = _factor_table(self.terms[:n_mono], self.degree)
         self._exp_vars = [t.expflags.index(True)
-                          for t in self.terms[self._n_mono:]]
-        self._jac_E, self._jac_C = _jacobian_tables(self._E)
-        self._hess_E, self._hess_C = _hessian_tables(self._E)
+                          for t in self.terms[n_mono:]]
+        self._jac_src, self._jac_coef = self._derivative_table(1)
+        self._hess_src, self._hess_coef = self._derivative_table(2)
 
     def __len__(self):
         return self.size
@@ -130,7 +137,11 @@ class FunctionLibrary:
     def evaluate(self, X):
         """Theta(X) for X of shape (..., d); returns (..., p)."""
         X = np.asarray(X, dtype=float)
-        mono = np.prod(X[..., None, :] ** self._E, axis=-1)
+        Xa = np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
+        # The gather comes back with the batch axes innermost; a C-ordered
+        # Theta keeps downstream reductions over terms in one fixed order.
+        mono = np.ascontiguousarray(
+            np.multiply.reduce(Xa[..., self._factors], axis=-1))
         if not self._exp_vars:
             return mono
         exps = np.exp(X[..., self._exp_vars])
@@ -138,16 +149,7 @@ class FunctionLibrary:
 
     def jacobian(self, X):
         """d Theta / dx, shape (..., p, d)."""
-        X = np.asarray(X, dtype=float)
-        # powers: (..., d_out, n_mono, d_in) -> product over d_in
-        P = np.prod(X[..., None, None, :] ** self._jac_E, axis=-1)
-        Jm = np.swapaxes(self._jac_C * P, -1, -2)
-        if not self._exp_vars:
-            return Jm
-        Je = np.zeros(X.shape[:-1] + (len(self._exp_vars), self.dim))
-        for r, i in enumerate(self._exp_vars):
-            Je[..., r, i] = np.exp(X[..., i])
-        return np.concatenate([Jm, Je], axis=-2)
+        return self.evaluate(X)[..., self._jac_src] * self._jac_coef
 
     def hessian_vp(self, X, U):
         """Sum_j d^2 Theta / dx dx_j * U_j, shape (..., p, d).
@@ -155,17 +157,36 @@ class FunctionLibrary:
         Entry (mu, k) is the k-th component of the Hessian of term mu applied
         to the direction U at X.
         """
-        X = np.asarray(X, dtype=float)
         U = np.asarray(U, dtype=float)
-        # powers: (..., j, k, n_mono, d_in)
-        P = np.prod(X[..., None, None, None, :] ** self._hess_E, axis=-1)
-        Gm = np.einsum("jkm,...jkm,...j->...mk", self._hess_C, P, U)
-        if not self._exp_vars:
-            return Gm
-        Ge = np.zeros(X.shape[:-1] + (len(self._exp_vars), self.dim))
-        for r, i in enumerate(self._exp_vars):
-            Ge[..., r, i] = np.exp(X[..., i]) * U[..., i]
-        return np.concatenate([Gm, Ge], axis=-2)
+        H = self.evaluate(X)[..., self._hess_src] * self._hess_coef
+        return (H * U[..., None, :, None]).sum(axis=-2)
+
+    def _derivative_table(self, order):
+        """(src, coef) with d^order theta_mu / dx_j (dx_k) = coef * Theta[src].
+
+        src and coef have shape (p,) + (d,) * order.  Each derivative of a
+        library term is a constant times a library term (a lower monomial,
+        or the same exp(x_i)); a vanishing one points at the constant term
+        with coefficient 0, so it stays 0 wherever Theta is finite.
+        """
+        shape = (self.size,) + (self.dim,) * order
+        src = np.zeros(shape, dtype=np.intp)
+        coef = np.zeros(shape)
+        for mu, t in enumerate(self.terms):
+            for js in itertools.product(range(self.dim), repeat=order):
+                if any(t.expflags):
+                    if all(j == t.expflags.index(True) for j in js):
+                        src[(mu,) + js], coef[(mu,) + js] = mu, 1.0
+                    continue
+                e, c = list(t.exponents), 1.0
+                for j in js:
+                    c *= e[j]
+                    e[j] -= 1
+                if c != 0.0:
+                    src[(mu,) + js] = self._index[TermKey(tuple(e),
+                                                          t.expflags)]
+                    coef[(mu,) + js] = c
+        return src, coef
 
 
 def _ordered_terms(dim, degree, include_exponentials):
@@ -184,31 +205,16 @@ def _ordered_terms(dim, degree, include_exponentials):
     return terms
 
 
-def _jacobian_tables(E):
-    """Exponent tensor and coefficients for monomial first derivatives."""
-    n, d = E.shape
-    EJ = np.empty((d, n, d))
-    for j in range(d):
-        dec = E.copy()
-        dec[:, j] -= 1
-        EJ[j] = np.maximum(dec, 0.0)
-    C = E.T.copy()  # C[j, mu] = E[mu, j]
-    return EJ, C
+def _factor_table(monomials, degree):
+    """(n_mono, degree) indices into [1, x1, .., xd] whose product is x^e.
 
-
-def _hessian_tables(E):
-    """Exponent tensor and coefficients for monomial second derivatives."""
-    n, d = E.shape
-    EH = np.empty((d, d, n, d))
-    CH = np.empty((d, d, n))
-    for j in range(d):
-        for k in range(d):
-            dec = E.copy()
-            dec[:, j] -= 1
-            dec[:, k] -= 1
-            EH[j, k] = np.maximum(dec, 0.0)
-            CH[j, k] = E[:, j] * (E[:, k] - (1.0 if j == k else 0.0))
-    return EH, CH
+    A monomial of degree s takes degree - s leading factors of 1, then x_i
+    e_i times in variable order.
+    """
+    rows = [[0] * (degree - t.degree)
+            + [i + 1 for i, e in enumerate(t.exponents) for _ in range(e)]
+            for t in monomials]
+    return np.array(rows, dtype=np.intp).reshape(len(rows), degree)
 
 
 def build_library(dim, degree, include_exponentials=False):

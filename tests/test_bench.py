@@ -114,8 +114,8 @@ def test_long_term_error_truth_model_is_exact():
     lib = sys.library()
     model = SindyModel(lib, sys.truth_matrix(lib))
     ics = np.array([[1.0, 0.0], [0.0, -1.5]])
-    out = long_term_error(model, sys, ics, horizon=5.0,
-                          checkpoints=[1.0, 2.5, 5.0])
+    out = long_term_error({"truth": model}, sys, ics, horizon=5.0,
+                          checkpoints=[1.0, 2.5, 5.0])["truth"]
     assert np.max(out["errors"]) <= 1e-10
     assert not out["diverged"].any()
 
@@ -129,7 +129,8 @@ def test_long_term_error_zero_field_closed_form():
     A = np.array([[-0.1, -1.0], [1.0, -0.1]])
     ics = np.array([[1.0, 0.0]])
     cps = [1.0, 3.0]
-    out = long_term_error(model, sys, ics, horizon=3.0, checkpoints=cps)
+    out = long_term_error({"zero": model}, sys, ics, horizon=3.0,
+                          checkpoints=cps)["zero"]
     for j, t in enumerate(cps):
         drift = ics[0] - scipy.linalg.expm(t * A) @ ics[0]
         want = np.mean(drift ** 2)
@@ -148,7 +149,8 @@ def test_long_term_error_divergence_is_sticky():
     ics = np.array([[1.0, 1.0]])
     cps = [1.0, 2.0, 3.0, 4.0, 5.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = long_term_error(model, sys, ics, horizon=5.0, checkpoints=cps)
+        out = long_term_error({"5x": model}, sys, ics, horizon=5.0,
+                              checkpoints=cps)["5x"]
     div = out["diverged"][:, 0]
     assert not div[0] and not div[1]
     assert div[2] and div[3] and div[4]
@@ -162,10 +164,67 @@ def test_long_term_error_validates_checkpoints():
     model = SindyModel(lib, sys.truth_matrix(lib))
     ics = np.array([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        long_term_error(model, sys, ics, horizon=1.0, checkpoints=[2.0])
+        long_term_error({"truth": model}, sys, ics, horizon=1.0,
+                        checkpoints=[2.0])
     with pytest.raises(ValueError):
-        long_term_error(model, sys, ics, horizon=1.0,
+        long_term_error({"truth": model}, sys, ics, horizon=1.0,
                         checkpoints=[0.8, 0.2])
+
+
+def oscillator_models():
+    """Two W-linear models, a GP expression model and test states."""
+    from symodes.discover import GpResult
+    from symodes.expressions import parse
+
+    sys = get_system("oscillator")
+    lib = sys.library()
+    W = sys.truth_matrix(lib)
+    W2 = W.copy()
+    W2[0, lib.labels().index("x1*x2")] = 0.05
+    exprs = [parse("-0.12*x1 - x2", 2), parse("x1 - 0.1*x2 + 0.02*x1^2", 2)]
+    models = {"a": SindyModel(lib, 0.97 * W), "b": SindyModel(lib, W2),
+              "gp": GpResult(exprs=exprs, fitness=[0.0, 0.0], history=[])}
+    ics = np.array([[1.0, 0.0], [0.0, -1.5], [0.3, 0.7]])
+    return sys, models, ics
+
+
+def test_long_term_error_stacked_equals_one_model_at_a_time():
+    # The W-linear models share one stacked integration with the truth and
+    # the GP model integrates alone; each result equals its own call.
+    sys, models, ics = oscillator_models()
+    cps = [0.5, 1.0, 2.5, 4.0]
+    both = long_term_error(models, sys, ics, horizon=4.0, checkpoints=cps)
+    assert list(both) == ["a", "b", "gp"]
+    for name, model in models.items():
+        alone = long_term_error({name: model}, sys, ics, horizon=4.0,
+                                checkpoints=cps)[name]
+        assert both[name]["checkpoints"] == alone["checkpoints"] == cps
+        np.testing.assert_array_equal(both[name]["errors"], alone["errors"])
+        np.testing.assert_array_equal(both[name]["diverged"],
+                                      alone["diverged"])
+        assert both[name]["errors"][-1].min() > 0.0
+
+
+def test_long_term_error_divergent_block_leaves_the_others_alone():
+    # xi' = 5 + 5 xi^2 reaches infinity before t = 0.7 from any state, so
+    # its block of the stacked batch turns inf and then nan.
+    sys, models, ics = oscillator_models()
+    lib = sys.library()
+    W = np.zeros((2, lib.size))
+    W[:, 0] = 5.0
+    W[0, lib.labels().index("x1^2")] = W[1, lib.labels().index("x2^2")] = 5.0
+    cps = [0.05, 1.0, 2.0, 4.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = long_term_error({**models, "boom": SindyModel(lib, W)}, sys,
+                                ics, horizon=4.0, checkpoints=cps)
+    calm = long_term_error(models, sys, ics, horizon=4.0, checkpoints=cps)
+    assert not mixed["boom"]["diverged"][0].any()
+    assert mixed["boom"]["diverged"][1:].all()
+    assert np.isfinite(mixed["boom"]["errors"]).all()
+    for name in models:
+        np.testing.assert_array_equal(mixed[name]["errors"],
+                                      calm[name]["errors"])
+        assert not mixed[name]["diverged"].any()
 
 
 def test_bench_config_validation():
@@ -213,7 +272,11 @@ def test_emit_report_tables_and_na_cells(tmp_path):
     header = text.splitlines()[0]
     assert header == "method,metric,eq1,eq2,all"
     assert "timings" not in json.loads((out / "report.json").read_text())
-    assert (out / "timings.json").exists()
+    timings = json.loads((out / "timings.json").read_text())
+    assert sorted(timings["per_run"]) == ["equiv-c", "sindy"]
+    assert sorted(timings["stages"]) == ["dataset", "ltp"]
+    for wall in timings["stages"].values():
+        assert len(wall) == 2 and all(w > 0.0 for w in wall)
     back = load_report(str(out / "report.json"))
     assert back["aggregates"].keys() == report["aggregates"].keys()
 
@@ -323,6 +386,27 @@ def test_benchmark_traces_the_shared_smoother():
     assert len(infos[0]) == 12
     assert 0 < S["dynamics.cholesky"]["calls"] <= candidates + len(chosen)
     assert S["dynamics.differentiate"]["calls"] == 6
+
+
+def test_benchmark_integrates_each_run_in_one_batch():
+    # One run integrates every split in one rk4_record call and the truth
+    # with every W-linear method in one stacked LTP integration: a fallback
+    # to one integration per split or per method records more steps.
+    from symodes.dynamics import INTERNAL_DT
+
+    tracer, T, triples = perfbench_hooks()
+    bc = bench_small(runs=1)
+    with tracer.patched(triples):
+        report = run_benchmark(bc)
+    assert sorted(report["ltp"]) == ["equiv-c", "sindy"]
+    data = dict(bc.data)
+    dt = get_system(bc.system).data.dt
+    stride = round(dt / INTERNAL_DT)
+    horizon = data["n_samples"] * dt
+    S, C = T.summary(), T.counts()
+    assert S["integrate.rk4_record"]["calls"] == 1
+    assert C["integrate.rk4_steps"] == ((data["n_samples"] - 1) * stride
+                                        + round(horizon / INTERNAL_DT))
 
 
 def test_na_formatting_for_zero_successful_runs():

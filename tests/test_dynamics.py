@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, NoiseSpec,
-                              Trajectory, differentiate_trajectory,
+                              SindyModel, Trajectory, differentiate_trajectory,
                               estimate_derivatives, get_system, gp_smooth,
                               gp_smooth_series, load_dataset, make_dataset,
                               sample_initial, save_dataset, split_rng)
@@ -298,10 +298,31 @@ def test_make_dataset_noise_override_and_clean_states():
     np.testing.assert_array_equal(tr.states, tr.clean_states)
 
 
+def test_linear_fields_are_batch_invariant():
+    # A row of h(X) has the same bits whether it is evaluated alone, in a
+    # batch or in a stacked (2, B, d) batch: the oracle and a dense W-linear
+    # model on every registry system.
+    rng = np.random.default_rng(8)
+    for name, sys in SYSTEMS.items():
+        lib = sys.library()
+        X = np.array([sample_initial(sys, rng) for _ in range(37)])
+        dense = SindyModel(lib, rng.normal(size=(sys.dim, lib.size)))
+        for model in (sys.oracle(), dense):
+            batch = model.h(X)
+            assert batch.shape == X.shape
+            rows = np.array([model.h(x) for x in X])
+            np.testing.assert_array_equal(batch, rows, err_msg=name)
+            stacked = model.h(np.stack([X, X[::-1]]))
+            np.testing.assert_array_equal(stacked[0], batch, err_msg=name)
+            np.testing.assert_array_equal(stacked[1], batch[::-1],
+                                          err_msg=name)
+
+
 def test_make_dataset_matches_one_trajectory_at_a_time():
     # Trajectory j draws its initial condition, then its noise, from
-    # split_rng(seed, j) whatever the batch; batched integration agrees with
-    # integrating it alone up to BLAS summation order.
+    # split_rng(seed, j) whatever the batch.  All splits integrate in one
+    # batch, and the oracle's field gives every row the bits it gets alone,
+    # so each trajectory equals integrating it alone, bit for bit.
     sys = get_system("oscillator")
     ds = small_dataset(seed=4)
     stride = int(round(ds.dt / INTERNAL_DT))
@@ -312,9 +333,9 @@ def test_make_dataset_matches_one_trajectory_at_a_time():
         np.testing.assert_array_equal(tr.clean_states[0], x0)
         alone = rk4_record(sys.oracle().h, x0, INTERNAL_DT,
                            (tr.n_samples - 1) * stride, stride)
-        np.testing.assert_allclose(tr.clean_states, alone, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(tr.clean_states, alone)
         noisy = sys.data.noise.apply(alone, rng)
-        np.testing.assert_allclose(tr.states, noisy, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(tr.states, noisy)
     # All smoothed series share one smoother call; each matches smoothing
     # its trajectory alone up to BLAS summation order.
     for tr in ds.train + ds.val:

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +83,58 @@ def test_hessian_vp_matches_jacobian_differences():
         step = 1e-6
         fd = (lib.jacobian(X + step * U) - lib.jacobian(X - step * U)) / (2 * step)
         assert np.abs(G - fd).max() < 1e-8
+
+
+def power_formula_derivatives(lib, x):
+    """Exact J[mu, j] and H[mu, j, k] of every term at the point x.
+
+    The power formula e_j x^(e - 1_j) (and e_j (e_k - [j = k]) x^(e - 1_j -
+    1_k)) in rational arithmetic, rounded once; exp(x_i) terms use math.exp.
+    """
+    xs = [Fraction(float(v)) for v in x]
+    J = np.zeros((lib.size, lib.dim))
+    H = np.zeros((lib.size, lib.dim, lib.dim))
+    for mu, t in enumerate(lib.terms):
+        if any(t.expflags):
+            i = t.expflags.index(True)
+            J[mu, i] = H[mu, i, i] = math.exp(x[i])
+            continue
+        for js in itertools.product(range(lib.dim), repeat=2):
+            e, c = list(t.exponents), Fraction(1)
+            for n, j in enumerate(js):
+                c *= e[j]
+                e[j] -= 1
+                if c == 0:
+                    break
+                value = c * math.prod(v ** k for v, k in zip(xs, e))
+                if n == 0:
+                    J[mu, j] = float(value)
+                else:
+                    H[(mu,) + js] = float(value)
+    return J, H
+
+
+def test_derivative_tables_match_the_power_formula():
+    # J and the Hessian are gathers from Theta times constant tables; each
+    # entry is within one unit of relative rounding of the exact power
+    # formula, and exactly zero where the formula is, on every registry
+    # library (and two with higher degree).
+    from symodes.dynamics import SYSTEMS
+
+    rng = np.random.default_rng(17)
+    libs = [s.library() for s in SYSTEMS.values()]
+    libs += [build_library(3, 3), build_library(2, 4, True)]
+    for lib in libs:
+        X = rng.uniform(-2.0, 2.0, size=(12, lib.dim))
+        J = lib.jacobian(X)
+        H = np.stack([lib.hessian_vp(X, np.broadcast_to(u, X.shape))
+                      for u in np.eye(lib.dim)], axis=-2)     # [n, mu, j, k]
+        for n, x in enumerate(X):
+            J0, H0 = power_formula_derivatives(lib, x)
+            for got, want in ((J[n], J0), (H[n], H0)):
+                np.testing.assert_array_equal(got == 0.0, want == 0.0)
+                tol = np.finfo(float).eps * np.abs(want)
+                assert (np.abs(got - want) <= tol).all(), (lib, x)
 
 
 def test_m_theta_reproduces_coordinates():
