@@ -149,13 +149,14 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
     exceeds 1e6 (or go non-finite) are marked divergent from then on and
     excluded from the aggregates but counted.
 
-    The true field and every SindyModel over the system's library advance
-    as one stacked (M, B, d) batch: each RK4 stage evaluates Theta once and
-    multiplies it by each W block.  That field gives a row the bits it gets
-    alone (see dynamics.linear_field), so a model's result does not depend
-    on which models share the call, and a diverging block leaves the
-    others untouched.  Any other model (an expression tree) is integrated
-    on its own and compared with the same true path.
+    Every model advances with the true field as one stacked (M, B, d) batch:
+    block 0 is the truth, then every SindyModel over the system's library,
+    then every other model (an expression tree).  Each RK4 stage evaluates
+    Theta once for the W-linear blocks and multiplies it by each W, and
+    evaluates each other model's field on its own (B, d) block.  Every
+    block gets the bits it gets alone (see dynamics.linear_field), so a
+    model's result does not depend on which models share the call, and a
+    diverging block leaves the others untouched.
 
     Returns {name: {"checkpoints", "errors" (n_cp, n_ic),
     "diverged" (n_cp, n_ic)}}.
@@ -170,18 +171,22 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
               if isinstance(model, SindyModel)
               and model.lib.terms == lib.terms]
     others = [m for m in models if m not in linear]
-    # (M, 1, d, p): block 0 is the truth, block i + 1 the i-th linear model.
+    # (L, 1, d, p): block 0 is the truth, block i + 1 the i-th linear model.
     Ws = np.stack([system.truth_matrix(lib)]
                   + [models[m].W for m in linear])[:, None]
+    L = len(Ws)
 
     def stacked_h(Y):
-        return linear_field(lib.evaluate(Y), Ws)
+        F = np.empty_like(Y)
+        F[:L] = linear_field(lib.evaluate(Y[:L]), Ws)
+        for j, m in enumerate(others, start=L):
+            F[j] = models[m].h(Y[j])
+        return F
 
     X = np.atleast_2d(np.asarray(test_ics, dtype=float))
     B = X.shape[0]
     n_cp = len(checkpoints)
-    Y = np.stack([X] * len(Ws))
-    ys = {m: X.copy() for m in others}
+    Y = np.stack([X] * (L + len(others)))
     out = {m: {"checkpoints": list(checkpoints),
                "errors": np.zeros((n_cp, B)),
                "diverged": np.zeros((n_cp, B), dtype=bool)} for m in models}
@@ -193,10 +198,8 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
             if seg > 0:
                 n = max(1, int(round(seg / INTERNAL_DT)))
                 Y = rk4_final(stacked_h, Y, seg, n)
-                for m in others:
-                    ys[m] = rk4_final(models[m].h, ys[m], seg, n)
                 t = tc
-            ys.update(zip(linear, Y[1:]))
+            ys = dict(zip(linear + others, Y[1:]))
             for m in models:
                 ym = ys[m]
                 finite = np.isfinite(ym).all(axis=1)

@@ -14,7 +14,9 @@ Four fitters share the data interface (a Dataset or an (X, dX) pair):
 * gp_fit          -- genetic programming over expression trees, one
                      evolution per output dimension, with an optional
                      finite-transform penalty computed against transformed
-                     data pairs that are built once up front.
+                     data pairs that are built once up front; each new
+                     candidate costs one tree evaluation on the fit and
+                     penalty points together.
 
 The three W-linear fitters share one sequential-thresholding loop.  The
 model class SindyModel lives in dynamics, where it also serves as the
@@ -33,7 +35,7 @@ import scipy.optimize
 from .constraint import assemble_equivariant_basis, materialize
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
-from .expressions import Expr, evaluate, expand, to_string
+from .expressions import Expr, evaluate, evaluate_all, expand, to_string
 from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError, GroupElement,
                        symmetry_loss_grad)
 
@@ -369,11 +371,18 @@ def _initial_population(rng, dim, cfg):
     return pop
 
 
-def _nodes(e):
-    out = [e]
-    for c in e.children:
-        out.extend(_nodes(c))
-    return out
+def _subtree(e, k):
+    """Node k of e in preorder, found by walking down with child sizes."""
+    while k:
+        k -= 1
+        for c in e.children:
+            if k < c.size:
+                e = c
+                break
+            k -= c.size
+        else:
+            raise IndexError("node index out of range")
+    return e
 
 
 def _replace_node(e, k, new):
@@ -382,7 +391,7 @@ def _replace_node(e, k, new):
     k -= 1
     kids = list(e.children)
     for j, c in enumerate(kids):
-        n = c.node_count()
+        n = c.size
         if k < n:
             kids[j] = _replace_node(c, k, new)
             return Expr(e.kind, tuple(kids), e.value)
@@ -391,21 +400,20 @@ def _replace_node(e, k, new):
 
 
 def _crossover(a, b, rng):
-    ka = int(rng.integers(a.node_count()))
-    kb = int(rng.integers(b.node_count()))
-    return _replace_node(a, ka, _nodes(b)[kb])
+    ka = int(rng.integers(a.size))
+    kb = int(rng.integers(b.size))
+    return _replace_node(a, ka, _subtree(b, kb))
 
 
 def _subtree_mutation(e, rng, dim, cfg):
-    k = int(rng.integers(e.node_count()))
+    k = int(rng.integers(e.size))
     sub = _random_tree(rng, dim, 3, cfg.operators, cfg.constant_range, False)
     return _replace_node(e, k, sub)
 
 
 def _point_mutation(e, rng, dim, cfg):
-    nodes = _nodes(e)
-    k = int(rng.integers(len(nodes)))
-    t = nodes[k]
+    k = int(rng.integers(e.size))
+    t = _subtree(e, k)
     if t.kind == "const":
         width = cfg.constant_range[1] - cfg.constant_range[0]
         new = Expr.const(t.value + 0.1 * width * rng.standard_normal())
@@ -424,7 +432,8 @@ def gp_penalty_data(gens, X, dX, eps):
 
     For each generator g the pair is (g(x), J_g(x) dx): the candidate is
     compared against the pushed-forward measured derivatives, so evolution
-    only ever evaluates trees at the precomputed transformed points.
+    only ever evaluates trees at the precomputed transformed points, stacked
+    with the fit points into one evaluation per candidate.
     """
     out = []
     for g in gens:
@@ -435,28 +444,39 @@ def gp_penalty_data(gens, X, dX, eps):
     return out
 
 
+def _mean_square(r):
+    # the bits of np.mean(r * r) for 1-D r, without its overhead
+    return float(np.add.reduce(r * r) / r.shape[0])
+
+
 def gp_candidate_fitness(e, X, y, inv_var, cfg, penalty, lam):
-    """(total, mse, penalty, size); total is inf for non-finite candidates."""
+    """(total, mse, penalty, size); total is inf for non-finite candidates.
+
+    The tree is evaluated once, on X and every penalty point set stacked
+    together; the MSE and each penalty term are read from slices.
+    """
+    size = e.size
+    pairs = penalty if lam > 0.0 and penalty else ()
+    pts = np.concatenate([X] + [gX for gX, _ in pairs]) if pairs else X
+    n = y.shape[0]
     with np.errstate(all="ignore"):
-        r = gp_evaluate(e, X) - y
-        mse = float(np.mean(r * r)) * inv_var
-    size = e.node_count()
-    if not np.isfinite(mse):
-        return (np.inf, np.inf, 0.0, size)
-    pen = 0.0
-    if lam > 0.0 and penalty:
+        v = gp_evaluate(e, pts)
+        mse = _mean_square(v[:n] - y) * inv_var
+        if not np.isfinite(mse):
+            return (np.inf, np.inf, 0.0, size)
+        pen = 0.0
         used = 0
-        for gX, target in penalty:
-            denom = float(np.mean(target * target))
+        for gX, target in pairs:
+            q = v[n:n + target.shape[0]] - target
+            n += target.shape[0]
+            denom = _mean_square(target)
             if denom < 1e-30:
                 continue
-            with np.errstate(all="ignore"):
-                q = gp_evaluate(e, gX) - target
-                pen += float(np.mean(q * q)) / denom
+            pen += _mean_square(q) / denom
             used += 1
-        pen = pen / used if used else 0.0
-        if not np.isfinite(pen):
-            return (np.inf, mse, np.inf, size)
+    pen = pen / used if used else 0.0
+    if not np.isfinite(pen):
+        return (np.inf, mse, np.inf, size)
     return (mse + cfg.parsimony * size + lam * pen, mse, pen, size)
 
 
@@ -539,7 +559,7 @@ def refit_constants(e, X, y):
 
 
 def _tournament(pop, fits, rng, k):
-    idx = rng.integers(len(pop), size=k)
+    idx = rng.integers(len(pop), size=k).tolist()
     j = min(idx, key=lambda j: (fits[j][0], j))
     return pop[j]
 
@@ -548,9 +568,23 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
     var = float(y.var())
     inv_var = 1.0 / var if var > 0 else 1.0
 
+    scored = {}
+
     def score(pop):
-        return [gp_candidate_fitness(e, X, y, inv_var, cfg, penalty, lam)
-                for e in pop]
+        # A tree object scored in this or the previous generation (the
+        # elite, a parent copied or picked twice) keeps its fitness.  The
+        # dict holds the trees it keys, so an id is never reused inside it.
+        nonlocal scored
+        prev, scored = scored, {}
+        fits = []
+        for e in pop:
+            hit = scored.get(id(e)) or prev.get(id(e))
+            if hit is None:
+                hit = (e, gp_candidate_fitness(e, X, y, inv_var, cfg,
+                                               penalty, lam))
+            scored[id(e)] = hit
+            fits.append(hit[1])
+        return fits
 
     pop = _initial_population(rng, X.shape[-1], cfg)
     fits = score(pop)
@@ -580,7 +614,7 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
                 child = _point_mutation(parent, rng, X.shape[-1], cfg)
             else:
                 child = parent
-            if child.depth() > cfg.max_depth:
+            if child.height > cfg.max_depth:
                 child = parent
             newpop.append(child)
         pop = newpop
@@ -603,7 +637,7 @@ class GpResult:
 
     def h(self, X):
         """The discovered vector field at X of shape (..., d)."""
-        return np.stack([gp_evaluate(e, X) for e in self.exprs], axis=-1)
+        return evaluate_all(self.exprs, X, protected=True)
 
     def equations(self):
         return [f"x{i+1}' = {to_string(e)}"
@@ -616,8 +650,9 @@ def gp_fit(dataset, cfg=None, symmetry=()):
     symmetry, when given, is a sequence of generators v; the penalty uses
     the group elements exp(cfg.eps * v) with weight cfg.lambda_symm (0.1
     when None).  It compares candidates at precomputed transformed points
-    against the pushed-forward measured derivatives, so its cost per
-    candidate is one extra tree evaluation.
+    against the pushed-forward measured derivatives; those points join the
+    fit points in each candidate's one tree evaluation, so the penalty adds
+    cfg.gp.penalty_points rows per generator to it.
     """
     cfg = cfg or DiscoveryConfig()
     g = cfg.gp

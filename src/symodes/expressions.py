@@ -43,22 +43,34 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
+_set = object.__setattr__
+
+
 class Expr:
     """A node in an expression tree.
 
     kind is one of const/var/add/sub/mul/div/neg/exp/pow.  `value` holds the
     float for const, the 0-based variable index for var, and the integer
-    exponent for pow; it is None otherwise.
+    exponent for pow; it is None otherwise.  `size` (node count) and `height`
+    (a leaf has height 1) are computed from the children at construction.
     """
 
-    __slots__ = ("kind", "children", "value")
+    __slots__ = ("kind", "children", "value", "size", "height")
 
     def __init__(self, kind, children=(), value=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown node kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "value", value)
+        children = tuple(children)
+        size = height = 1
+        for c in children:
+            size += c.size
+            if c.height >= height:
+                height = c.height + 1
+        _set(self, "kind", kind)
+        _set(self, "children", children)
+        _set(self, "value", value)
+        _set(self, "size", size)
+        _set(self, "height", height)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -113,12 +125,11 @@ class Expr:
     # -- queries -----------------------------------------------------------
 
     def node_count(self):
+        """The number of nodes, counted recursively (`size` stores it)."""
         return 1 + sum(c.node_count() for c in self.children)
 
     def depth(self):
-        if not self.children:
-            return 1
-        return 1 + max(c.depth() for c in self.children)
+        return self.height
 
     # -- evaluation --------------------------------------------------------
 
@@ -142,15 +153,27 @@ def evaluate(e, x, protected=False):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = _eval(e, x, protected)
-    if np.ndim(out) == 0 and x.ndim == 1:
-        return float(out)
+    if np.ndim(out) == 0:
+        return float(out) if x.ndim == 1 else np.full(x.shape[:-1], out)
+    return out
+
+
+def evaluate_all(exprs, x, protected=False):
+    """evaluate(e, x, protected) of each e, stacked on a new last axis."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (len(exprs),))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, e in enumerate(exprs):
+            out[..., i] = _eval(e, x, protected)
     return out
 
 
 def _eval(e, x, protected):
+    # Constants stay scalars and broadcast where they meet a variable, so a
+    # constant-only subtree is computed once, not once per point.
     k = e.kind
     if k == "const":
-        return np.full(x.shape[:-1], e.value) if x.ndim > 1 else e.value
+        return e.value
     if k == "var":
         return x[..., e.value]
     if k == "add":
@@ -165,10 +188,8 @@ def _eval(e, x, protected):
     if k == "div":
         num = _eval(e.children[0], x, protected)
         den = _eval(e.children[1], x, protected)
-        if not protected:
-            return np.divide(num, den)
-        zero = den == 0.0
-        return np.where(zero, 1.0, num / np.where(zero, 1.0, den))
+        q = np.divide(num, den)
+        return np.where(den == 0.0, 1.0, q) if protected else q
     if k == "neg":
         return -_eval(e.children[0], x, protected)
     if k == "exp":

@@ -189,8 +189,8 @@ def oscillator_models():
 
 
 def test_long_term_error_stacked_equals_one_model_at_a_time():
-    # The W-linear models share one stacked integration with the truth and
-    # the GP model integrates alone; each result equals its own call.
+    # The W-linear models and the GP model share one stacked integration
+    # with the truth; each result equals its own call.
     sys, models, ics = oscillator_models()
     cps = [0.5, 1.0, 2.5, 4.0]
     both = long_term_error(models, sys, ics, horizon=4.0, checkpoints=cps)
@@ -207,20 +207,37 @@ def test_long_term_error_stacked_equals_one_model_at_a_time():
 
 def test_long_term_error_divergent_block_leaves_the_others_alone():
     # xi' = 5 + 5 xi^2 reaches infinity before t = 0.7 from any state, so
-    # its block of the stacked batch turns inf and then nan.
+    # its block of the stacked batch turns inf and then nan.  The tree model
+    # "tree-boom" (x1' = 1 + x1^2) does so before t = 1.6; its errors and
+    # flags are those it gets when integrated alone.
+    from symodes.discover import GpResult
+    from symodes.expressions import parse
+
     sys, models, ics = oscillator_models()
     lib = sys.library()
     W = np.zeros((2, lib.size))
     W[:, 0] = 5.0
     W[0, lib.labels().index("x1^2")] = W[1, lib.labels().index("x2^2")] = 5.0
+    booms = {"boom": SindyModel(lib, W),
+             "tree-boom": GpResult(exprs=[parse("1 + x1*x1", 2),
+                                          parse("x2/x1", 2)],
+                                   fitness=[0.0, 0.0], history=[])}
     cps = [0.05, 1.0, 2.0, 4.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mixed = long_term_error({**models, "boom": SindyModel(lib, W)}, sys,
-                                ics, horizon=4.0, checkpoints=cps)
+        mixed = long_term_error({**models, **booms}, sys, ics, horizon=4.0,
+                                checkpoints=cps)
+        alone = long_term_error({"tree-boom": booms["tree-boom"]}, sys, ics,
+                                horizon=4.0, checkpoints=cps)["tree-boom"]
     calm = long_term_error(models, sys, ics, horizon=4.0, checkpoints=cps)
-    assert not mixed["boom"]["diverged"][0].any()
-    assert mixed["boom"]["diverged"][1:].all()
-    assert np.isfinite(mixed["boom"]["errors"]).all()
+    for name in booms:
+        assert not mixed[name]["diverged"][0].any()
+        assert mixed[name]["diverged"][2:].all()
+        assert np.isfinite(mixed[name]["errors"]).all()
+    assert mixed["boom"]["diverged"][1].all()
+    np.testing.assert_array_equal(mixed["tree-boom"]["errors"],
+                                  alone["errors"])
+    np.testing.assert_array_equal(mixed["tree-boom"]["diverged"],
+                                  alone["diverged"])
     for name in models:
         np.testing.assert_array_equal(mixed[name]["errors"],
                                       calm[name]["errors"])
@@ -262,6 +279,29 @@ def test_run_benchmark_reports_are_reproducible_across_jobs(tmp_path):
     emit_report(r2, str(d2))
     for fname in ("report.json", "tables.csv", "ltp.csv"):
         assert (d1 / fname).read_bytes() == (d2 / fname).read_bytes(), fname
+
+
+def bench_gp(jobs=1, runs=2):
+    """A small gp / equiv-gp-r benchmark on the oscillator."""
+    from symodes.discover import DiscoveryConfig, GpConfig
+
+    cfg = DiscoveryConfig(threshold=get_system("oscillator").data.threshold,
+                          gp=GpConfig(population=24, generations=4))
+    return BenchConfig(
+        system="oscillator", methods=("gp", "equiv-gp-r"), runs=runs,
+        seed=5, discovery=cfg, ltp_ics=2, n_checkpoints=3,
+        data=(("n_samples", 30), ("counts", (3, 1, 2))), jobs=jobs)
+
+
+def test_run_benchmark_gp_reports_are_reproducible_across_jobs(tmp_path):
+    # GP evolution and expression-tree LTP give the same bytes serially and
+    # in worker processes.
+    for jobs in (1, 2):
+        emit_report(run_benchmark(bench_gp(jobs=jobs)),
+                    str(tmp_path / str(jobs)))
+    for fname in ("report.json", "tables.csv", "ltp.csv"):
+        assert ((tmp_path / "1" / fname).read_bytes()
+                == (tmp_path / "2" / fname).read_bytes()), fname
 
 
 def test_emit_report_tables_and_na_cells(tmp_path):
@@ -390,23 +430,26 @@ def test_benchmark_traces_the_shared_smoother():
 
 def test_benchmark_integrates_each_run_in_one_batch():
     # One run integrates every split in one rk4_record call and the truth
-    # with every W-linear method in one stacked LTP integration: a fallback
-    # to one integration per split or per method records more steps.
+    # with every method, W-linear or expression tree, in one stacked LTP
+    # integration: a fallback to one integration per split or per method
+    # records more steps.
     from symodes.dynamics import INTERNAL_DT
 
-    tracer, T, triples = perfbench_hooks()
-    bc = bench_small(runs=1)
-    with tracer.patched(triples):
-        report = run_benchmark(bc)
-    assert sorted(report["ltp"]) == ["equiv-c", "sindy"]
-    data = dict(bc.data)
-    dt = get_system(bc.system).data.dt
-    stride = round(dt / INTERNAL_DT)
-    horizon = data["n_samples"] * dt
-    S, C = T.summary(), T.counts()
-    assert S["integrate.rk4_record"]["calls"] == 1
-    assert C["integrate.rk4_steps"] == ((data["n_samples"] - 1) * stride
-                                        + round(horizon / INTERNAL_DT))
+    for bc, methods in ((bench_small(runs=1), ["equiv-c", "sindy"]),
+                        (bench_gp(runs=1), ["equiv-gp-r", "gp"])):
+        tracer, T, triples = perfbench_hooks()
+        with tracer.patched(triples):
+            report = run_benchmark(bc)
+        assert sorted(report["ltp"]) == methods
+        assert not any(r["error"] for r in report["records"])
+        data = dict(bc.data)
+        dt = get_system(bc.system).data.dt
+        stride = round(dt / INTERNAL_DT)
+        horizon = data["n_samples"] * dt
+        S, C = T.summary(), T.counts()
+        assert S["integrate.rk4_record"]["calls"] == 1
+        assert C["integrate.rk4_steps"] == ((data["n_samples"] - 1) * stride
+                                            + round(horizon / INTERNAL_DT))
 
 
 def test_na_formatting_for_zero_successful_runs():

@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from symodes.expressions import (Expr, ExprSyntaxError, differentiate,
-                                 evaluate, parse, to_string)
+                                 evaluate, evaluate_all, parse, to_string)
 
 
 def test_parse_and_eval_basics():
@@ -123,8 +125,115 @@ def test_differentiate_is_linear():
             assert np.all(np.abs(lhs[ok] - rhs[ok]) <= 1e-10 * scale)
 
 
+def _recursive_depth(e):
+    return 1 + max((_recursive_depth(c) for c in e.children), default=0)
+
+
+def _assert_sizes(e):
+    assert e.size == e.node_count(), to_string(e)
+    assert e.height == e.depth() == _recursive_depth(e), to_string(e)
+    for c in e.children:
+        _assert_sizes(c)
+
+
 def test_depth_and_node_count():
+    from symodes.discover import _crossover, _replace_node
+
     e = parse("x1 + x2*x1", 2)
-    assert e.node_count() == 5
-    assert e.depth() == 3
+    assert e.node_count() == e.size == 5
+    assert e.depth() == e.height == 3
     assert parse("x1", 1).depth() == 1
+    # size and height are stored at construction; they must equal the
+    # recursive definitions on every tree the GP engine can build.
+    rng = np.random.default_rng(3)
+    trees = [_random_expr(rng, 3, 6) for _ in range(200)]
+    for a, b in zip(trees, trees[1:]):
+        _assert_sizes(a)
+        k = int(rng.integers(a.size))
+        _assert_sizes(_replace_node(a, k, b))
+        _assert_sizes(_crossover(a, b, rng))
+        back = pickle.loads(pickle.dumps(a))
+        _assert_sizes(back)
+        assert (back.size, back.height) == (a.size, a.height)
+
+
+def _reference_eval(e, x, protected):
+    """The recursive evaluator with one np.full array per constant node."""
+    k = e.kind
+    if k == "const":
+        return np.full(x.shape[:-1], e.value) if x.ndim > 1 else e.value
+    if k == "var":
+        return x[..., e.value]
+    kids = [_reference_eval(c, x, protected) for c in e.children]
+    if k == "add":
+        return kids[0] + kids[1]
+    if k == "sub":
+        return kids[0] - kids[1]
+    if k == "mul":
+        return kids[0] * kids[1]
+    if k == "div":
+        num, den = kids
+        if not protected:
+            return np.divide(num, den)
+        zero = den == 0.0
+        return np.where(zero, 1.0, num / np.where(zero, 1.0, den))
+    if k == "neg":
+        return -kids[0]
+    if k == "exp":
+        return np.exp(kids[0])
+    if k == "pow":
+        return np.asarray(kids[0]) ** e.value
+    raise AssertionError(k)
+
+
+def reference_evaluate(e, x, protected=False):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _reference_eval(e, x, protected)
+    if np.ndim(out) == 0 and x.ndim == 1:
+        return float(out)
+    return out
+
+
+def _assert_same_bits(e, x, protected):
+    got = evaluate(e, x, protected)
+    want = reference_evaluate(e, x, protected)
+    assert type(got) is type(want), to_string(e)
+    assert np.shape(got) == np.shape(want) == np.shape(x)[:-1]
+    assert np.array_equal(got, want, equal_nan=True), to_string(e)
+    # the same bits, down to the sign of zeros and the NaN payloads
+    bits = [np.asarray(v, dtype=float).view(np.uint64) for v in (got, want)]
+    assert np.array_equal(*bits), to_string(e)
+
+
+def test_evaluate_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    # Zeros make x/0 and 0/0, large entries overflow exp.
+    X = rng.choice([0.0, -1.0, 0.5, 2.0, 750.0], size=(4, 6, 3))
+    X[0] = rng.uniform(-3, 3, size=(6, 3))
+    trees = [_random_expr(rng, 3, 6) for _ in range(300)]
+    trees += [parse(t, 3) for t in (
+        "2", "1/0", "0/0", "-1/0", "exp(1000)", "exp(exp(3))",
+        "(2 - 3*1.5)^3", "x1/0", "0/x1", "x1/(x2 - x2)", "(x1 - x1)/x3",
+        "exp(x3)*exp(x3) - exp(x3)^2", "x1 + exp(800)/exp(800)")]
+    for e in trees:
+        for protected in (False, True):
+            _assert_same_bits(e, X, protected)       # batched (4, 6, d)
+            _assert_same_bits(e, X[1], protected)    # batched (6, d)
+            for x in X[:, 0]:                        # 1-D inputs
+                _assert_same_bits(e, x, protected)
+
+
+def test_evaluate_all_stacks_evaluate():
+    rng = np.random.default_rng(8)
+    exprs = [_random_expr(rng, 2, 5) for _ in range(40)] + [parse("2", 2)]
+    X = rng.uniform(-2, 2, size=(7, 2))
+    X[0] = 0.0
+    for protected in (False, True):
+        out = evaluate_all(exprs, X, protected)
+        assert out.shape == (7, len(exprs))
+        for i, e in enumerate(exprs):
+            assert np.array_equal(out[:, i], evaluate(e, X, protected),
+                                  equal_nan=True)
+        row = evaluate_all(exprs, X[1], protected)
+        assert np.array_equal(row, out[1], equal_nan=True)
