@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__ as _tool_version
 from .discover import (DiscoveryConfig, GpResult, equiv_c_fit, equiv_r_fit,
                        gp_fit, stlsq)
-from .dynamics import (INTERNAL_DT, NoiseSpec, SindyModel, get_system,
-                       linear_field, make_dataset)
+from .dynamics import (INTERNAL_DT, LinearField, NoiseSpec, SindyModel,
+                       get_system, make_dataset)
 from .integrate import rk4_final
 from .library import canonicalize
 
@@ -151,12 +151,14 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
 
     Every model advances with the true field as one stacked (M, B, d) batch:
     block 0 is the truth, then every SindyModel over the system's library,
-    then every other model (an expression tree).  Each RK4 stage evaluates
-    Theta once for the W-linear blocks and multiplies it by each W, and
-    evaluates each other model's field on its own (B, d) block.  Every
-    block gets the bits it gets alone (see dynamics.linear_field), so a
-    model's result does not depend on which models share the call, and a
-    diverging block leaves the others untouched.
+    then every other model (an expression tree).  The stacked weights are
+    bound once to the (L, B) W-linear blocks (see dynamics.LinearField), so
+    each RK4 stage evaluates Theta once for them and multiplies it by each
+    W; each other model's field is evaluated on its own (B, d) block.  Every
+    block is written straight into its slice of the stage's slopes and gets
+    the bits it gets alone, so a model's result does not depend on which
+    models share the call, and a diverging block leaves the others
+    untouched.
 
     Returns {name: {"checkpoints", "errors" (n_cp, n_ic),
     "diverged" (n_cp, n_ic)}}.
@@ -175,18 +177,19 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
     Ws = np.stack([system.truth_matrix(lib)]
                   + [models[m].W for m in linear])[:, None]
     L = len(Ws)
-
-    def stacked_h(Y):
-        F = np.empty_like(Y)
-        F[:L] = linear_field(lib.evaluate(Y[:L]), Ws)
-        for j, m in enumerate(others, start=L):
-            F[j] = models[m].h(Y[j])
-        return F
-
     X = np.atleast_2d(np.asarray(test_ics, dtype=float))
     B = X.shape[0]
     n_cp = len(checkpoints)
     Y = np.stack([X] * (L + len(others)))
+    F = np.empty_like(Y)
+    linear_h = LinearField(lib, Ws, (L, B))
+
+    def stacked_h(Y):
+        linear_h(Y[:L], out=F[:L])
+        for j, m in enumerate(others, start=L):
+            models[m].h(Y[j], out=F[j])
+        return F
+
     out = {m: {"checkpoints": list(checkpoints),
                "errors": np.zeros((n_cp, B)),
                "diverged": np.zeros((n_cp, B), dtype=bool)} for m in models}

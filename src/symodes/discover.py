@@ -35,7 +35,8 @@ import scipy.optimize
 from .constraint import assemble_equivariant_basis, materialize
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
-from .expressions import Expr, evaluate, evaluate_all, expand, to_string
+from .expressions import (Expr, evaluate, evaluate_all, evaluate_unguarded,
+                          expand, to_string)
 from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError, GroupElement,
                        symmetry_loss_grad)
 
@@ -449,24 +450,38 @@ def _mean_square(r):
     return float(np.add.reduce(r * r) / r.shape[0])
 
 
-def gp_candidate_fitness(e, X, y, inv_var, cfg, penalty, lam):
+def gp_fitness_points(X, penalty, lam):
+    """(points, targets) for gp_candidate_fitness, built once per evolution.
+
+    points stacks X with every penalty pair's transformed points, so each
+    candidate is evaluated once on all of them; targets are the pairs'
+    pushed-forward derivatives, in the same order.  Without a penalty (lam
+    0 or no pairs) the points are X and there are no targets.
+    """
+    pairs = penalty if lam > 0.0 and penalty else ()
+    if not pairs:
+        return X, ()
+    return (np.concatenate([X] + [gX for gX, _ in pairs]),
+            [target for _, target in pairs])
+
+
+def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
     """(total, mse, penalty, size); total is inf for non-finite candidates.
 
-    The tree is evaluated once, on X and every penalty point set stacked
-    together; the MSE and each penalty term are read from slices.
+    points and targets come from gp_fitness_points: the tree is evaluated
+    once on the fit points and every penalty point set stacked together,
+    and the MSE and each penalty term are read from slices.
     """
     size = e.size
-    pairs = penalty if lam > 0.0 and penalty else ()
-    pts = np.concatenate([X] + [gX for gX, _ in pairs]) if pairs else X
     n = y.shape[0]
     with np.errstate(all="ignore"):
-        v = gp_evaluate(e, pts)
+        v = evaluate_unguarded(e, points, protected=True)
         mse = _mean_square(v[:n] - y) * inv_var
         if not np.isfinite(mse):
             return (np.inf, np.inf, 0.0, size)
         pen = 0.0
         used = 0
-        for gX, target in pairs:
+        for target in targets:
             q = v[n:n + target.shape[0]] - target
             n += target.shape[0]
             denom = _mean_square(target)
@@ -567,6 +582,7 @@ def _tournament(pop, fits, rng, k):
 def _evolve_dimension(X, y, cfg, rng, penalty, lam):
     var = float(y.var())
     inv_var = 1.0 / var if var > 0 else 1.0
+    points, targets = gp_fitness_points(X, penalty, lam)
 
     scored = {}
 
@@ -580,8 +596,8 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
         for e in pop:
             hit = scored.get(id(e)) or prev.get(id(e))
             if hit is None:
-                hit = (e, gp_candidate_fitness(e, X, y, inv_var, cfg,
-                                               penalty, lam))
+                hit = (e, gp_candidate_fitness(e, points, y, inv_var, cfg,
+                                               targets, lam))
             scored[id(e)] = hit
             fits.append(hit[1])
         return fits
@@ -635,9 +651,9 @@ class GpResult:
     history: list
     provenance: dict = field(default_factory=dict)
 
-    def h(self, X):
+    def h(self, X, out=None):
         """The discovered vector field at X of shape (..., d)."""
-        return evaluate_all(self.exprs, X, protected=True)
+        return evaluate_all(self.exprs, X, protected=True, out=out)
 
     def equations(self):
         return [f"x{i+1}' = {to_string(e)}"

@@ -158,19 +158,24 @@ class SindyModel:
     def dim(self):
         return self.W.shape[0]
 
-    def h(self, X):
-        return linear_field(self.lib.evaluate(X), self.W)
+    def field(self, shape):
+        """h bound to states of batch shape `shape` (see LinearField)."""
+        return LinearField(self.lib, self.W, shape)
+
+    def h(self, X, out=None):
+        X = np.asarray(X, dtype=float)
+        return self.field(X.shape[:-1])(X, out)
 
     def h_jacobian(self, X):
         return np.einsum("ip,...pj->...ij", self.W, self.lib.jacobian(X))
 
     def flow(self, X, tau, steps=DEFAULT_FLOW_STEPS):
-        return rk4_final(self.h, np.atleast_2d(np.asarray(X, float)),
-                         tau, steps)
+        X = np.atleast_2d(np.asarray(X, float))
+        return rk4_final(self.field(X.shape[:-1]), X, tau, steps)
 
     def flow_jvp(self, X, U, tau, steps=DEFAULT_FLOW_STEPS):
-        return rk4_flow_jvp(self.h, self.h_jacobian,
-                            np.atleast_2d(np.asarray(X, float)),
+        X = np.atleast_2d(np.asarray(X, float))
+        return rk4_flow_jvp(self.field(X.shape[:-1]), self.h_jacobian, X,
                             np.atleast_2d(np.asarray(U, float)), tau, steps)
 
     def coefficients(self):
@@ -185,16 +190,34 @@ class SindyModel:
         return equation_strings(self.lib, self.W)
 
 
-def linear_field(theta, W):
-    """W Theta: sum over mu of W[..., i, mu] * theta[..., mu].
+class LinearField:
+    """h(x) = W Theta(x) on states of one batch shape, with its own buffers.
 
-    A fixed-order sum over the library terms, not BLAS theta @ W.T, whose
-    summation order depends on the batch shape: with C-ordered theta and W
-    a row gets the same bits whatever rows it is evaluated with.  Leading
-    axes of W broadcast against theta's, so a stack of models (M, 1, d, p)
-    evaluates states (M, B, p) in one call.
+    It owns the padded states [1, x] (the ones column is written once),
+    Theta and the (..., d, p) products, and reuses them on every call.  The
+    sum over library terms is a fixed-order reduction, not BLAS Theta @ W.T,
+    whose summation order depends on the batch shape: a row gets the same
+    bits whatever rows it is evaluated with.  Leading axes of W broadcast
+    against the batch's, so a stack of models W (M, 1, d, p) on states
+    (M, B, d) evaluates in one call.
     """
-    return (theta[..., None, :] * W).sum(axis=-1)
+
+    def __init__(self, lib, W, shape):
+        self.lib = lib
+        self.W = np.ascontiguousarray(W, dtype=float)
+        shape = tuple(shape)
+        self._pad = np.empty(shape + (lib.dim + 1,))
+        self._pad[..., 0] = 1.0
+        self._theta = np.empty(shape + (lib.size,))
+        self._prod = np.empty(np.broadcast_shapes(shape + (1, lib.size),
+                                                  self.W.shape))
+
+    def __call__(self, X, out=None):
+        """h(X) for X of the bound shape (..., d), written into out if given."""
+        self._pad[..., 1:] = X
+        theta = self.lib.evaluate_padded(self._pad, self._theta)
+        np.multiply(theta[..., None, :], self.W, out=self._prod)
+        return np.add.reduce(self._prod, axis=-1, out=out)
 
 
 def equation_strings(lib, W):
@@ -538,10 +561,10 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     global order train, val, test) draws its initial condition and then its
     noise from split_rng(seed, j), so the random streams do not depend on
     how trajectories are batched.  All trajectories of all splits are
-    integrated in one batch by a single rk4_record call.  The oracle's
-    right-hand side gives the same bits for a row whatever the batch (see
-    linear_field), so each trajectory's clean and noisy states equal
-    integrating it alone, bit for bit.
+    integrated in one batch by a single rk4_record call, with the oracle
+    bound once to that batch (see LinearField).  Its right-hand side gives
+    the same bits for a row whatever the batch, so each trajectory's clean
+    and noisy states equal integrating it alone, bit for bit.
 
     Every series of the smoothed splits lies on one time grid, so they are
     smoothed by a single gp_smooth_series call: each hyperparameter
@@ -564,8 +587,8 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     trajs = []
     if rngs:
         x0 = np.array([sample_initial(system, rng) for rng in rngs])
-        recorded = rk4_record(system.oracle().h, x0, INTERNAL_DT,
-                              (n_samples - 1) * stride, stride)
+        recorded = rk4_record(system.oracle().field(x0.shape[:-1]), x0,
+                              INTERNAL_DT, (n_samples - 1) * stride, stride)
         trajs = [Trajectory(t0=0.0, dt=dt,
                             states=noise.apply(recorded[:, j, :], rng),
                             clean_states=recorded[:, j, :], seed=j)

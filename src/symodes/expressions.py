@@ -150,18 +150,31 @@ def evaluate(e, x, protected=False):
     as inf/nan; nothing raises.  With protected, any division by zero,
     including 0/0, evaluates to 1 instead.
     """
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, x, protected)
+        return evaluate_unguarded(e, x, protected)
+
+
+def evaluate_unguarded(e, x, protected=False):
+    """evaluate(e, x, protected) under the caller's np.errstate.
+
+    For callers that already ignore floating-point errors around more work
+    than the one evaluation; entering np.errstate costs microseconds.
+    """
+    x = np.asarray(x, dtype=float)
+    out = _eval(e, x, protected)
     if np.ndim(out) == 0:
         return float(out) if x.ndim == 1 else np.full(x.shape[:-1], out)
     return out
 
 
-def evaluate_all(exprs, x, protected=False):
-    """evaluate(e, x, protected) of each e, stacked on a new last axis."""
+def evaluate_all(exprs, x, protected=False, out=None):
+    """evaluate(e, x, protected) of each e, stacked on a new last axis.
+
+    The result is written into out when it is given.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (len(exprs),))
+    if out is None:
+        out = np.empty(x.shape[:-1] + (len(exprs),))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, e in enumerate(exprs):
             out[..., i] = _eval(e, x, protected)

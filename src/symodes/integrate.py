@@ -6,6 +6,12 @@ The same fourth-order stepper drives trajectory generation, group flows,
 variational (tangent) propagation, and the parameter-sensitivity systems, so
 that quantities differentiated through the flow see exactly the discrete map
 that produced the values.
+
+rk4_final and rk4_record advance one state array in place, writing every
+RK4 temporary into scratch arrays kept for the whole integration, so the
+stepper allocates nothing per step and gives rk4_step's bits.  A field's result is used only
+until its next call, so a field may return a buffer it reuses or its own
+argument.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ class IntegrationError(RuntimeError):
 
 
 def rk4_step(f, y, dt):
-    """One classical RK4 update."""
+    """One classical RK4 update: the reference the in-place stepper follows."""
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
@@ -31,12 +37,36 @@ def rk4_step(f, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _stepper(f, y, dt):
+    """A function advancing y, which the caller owns, one RK4 step in place.
+
+    Every product and sum of rk4_step, in its order, writes into one of
+    three scratch arrays: the stage state, the weighted slope sum and one
+    product.
+    """
+    stage, acc, tmp = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step():
+        k = f(y)
+        np.copyto(acc, k)
+        np.add(y, np.multiply(half, k, out=stage), out=stage)
+        for c in (half, dt):
+            k = f(stage)
+            np.add(acc, np.multiply(2.0, k, out=tmp), out=acc)
+            np.add(y, np.multiply(c, k, out=stage), out=stage)
+        np.add(acc, f(stage), out=acc)
+        np.add(y, np.multiply(sixth, acc, out=acc), out=y)
+
+    return step
+
+
 def rk4_final(f, y0, total_time, steps):
     """Endpoint of `steps` RK4 substeps; non-finite values propagate silently."""
-    y = np.asarray(y0, dtype=float)
-    dt = total_time / steps
+    y = np.array(y0, dtype=float)
+    step = _stepper(f, y, total_time / steps)
     for _ in range(steps):
-        y = rk4_step(f, y, dt)
+        step()
     return y
 
 
@@ -49,15 +79,16 @@ def rk4_record(f, y0, dt_internal, n_internal, stride):
     """
     if n_internal % stride != 0:
         raise ValueError("n_internal must be a multiple of stride")
-    y = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float)
     out = np.empty((n_internal // stride + 1,) + y.shape)
     out[0] = y
-    for step in range(1, n_internal + 1):
-        y = rk4_step(f, y, dt_internal)
+    step = _stepper(f, y, dt_internal)
+    for i in range(1, n_internal + 1):
+        step()
         if not np.all(np.isfinite(y)):
-            raise IntegrationError(step)
-        if step % stride == 0:
-            out[step // stride] = y
+            raise IntegrationError(i)
+        if i % stride == 0:
+            out[i // stride] = y
     return out
 
 

@@ -8,12 +8,13 @@ Theta(x) with W of shape (d, p).
 
 Every monomial of degree at most q is the product of exactly q factors drawn
 from [1, x1, .., xd] (x1*x2 in a degree-3 library is 1 * x1 * x2), so the
-library stores that (p_mono, q) factor table once and evaluates Theta with
-one gather and a fixed-order product of length q: no powers, and the bits of
-a row do not depend on how many rows are evaluated together.  Derivatives
-reuse Theta: d(x^e)/dx_j = e_j x^(e - 1_j) is itself a library monomial, so
-the Jacobian is one gather from Theta times a constant coefficient table, and
-the Hessian likewise with e - 1_j - 1_k.
+library stores that factor table once, transposed to (q, p_mono), and
+evaluates Theta with one gather from the padded states [1, x] and a
+fixed-order product over the q factors, written straight into a C-ordered
+Theta: no powers, and the bits of a row do not depend on how many rows are
+evaluated together.  Derivatives reuse Theta: d(x^e)/dx_j = e_j x^(e - 1_j)
+is itself a library monomial, so the Jacobian is one gather from Theta times
+a constant coefficient table, and the Hessian likewise with e - 1_j - 1_k.
 
 Canonicalization maps an arbitrary expression tree onto library coordinates
 when possible, which is how true coefficient matrices and term-set
@@ -91,9 +92,11 @@ class FunctionLibrary:
                                           self.include_exponentials))
         self.size = len(self.terms)
         self._index = {t: i for i, t in enumerate(self.terms)}
-        n_mono = sum(1 for t in self.terms if not any(t.expflags))
-        self._factors = _factor_table(self.terms[:n_mono], self.degree)
-        self._exp_vars = [t.expflags.index(True)
+        n_mono = self._n_mono = sum(1 for t in self.terms
+                                    if not any(t.expflags))
+        self._factors_t = _factor_table(self.terms[:n_mono], self.degree).T
+        # exp(x_i) reads column 1 + i of the padded states [1, x]
+        self._exp_cols = [1 + t.expflags.index(True)
                           for t in self.terms[n_mono:]]
         self._jac_src, self._jac_coef = self._derivative_table(1)
         self._hess_src, self._hess_coef = self._derivative_table(2)
@@ -137,15 +140,23 @@ class FunctionLibrary:
     def evaluate(self, X):
         """Theta(X) for X of shape (..., d); returns (..., p)."""
         X = np.asarray(X, dtype=float)
-        Xa = np.concatenate([np.ones(X.shape[:-1] + (1,)), X], axis=-1)
-        # The gather comes back with the batch axes innermost; a C-ordered
-        # Theta keeps downstream reductions over terms in one fixed order.
-        mono = np.ascontiguousarray(
-            np.multiply.reduce(Xa[..., self._factors], axis=-1))
-        if not self._exp_vars:
-            return mono
-        exps = np.exp(X[..., self._exp_vars])
-        return np.concatenate([mono, exps], axis=-1)
+        pad = np.empty(X.shape[:-1] + (self.dim + 1,))
+        pad[..., 0] = 1.0
+        pad[..., 1:] = X
+        return self.evaluate_padded(pad, np.empty(X.shape[:-1] + (self.size,)))
+
+    def evaluate_padded(self, pad, out):
+        """Theta into out (..., p) from the padded states pad (..., 1 + d).
+
+        pad holds [1, x].  The gathered factors come back as (..., q,
+        p_mono), so the product over factors writes the monomials into out
+        in place, with no copy to reorder them; the exp(x_i) columns follow.
+        """
+        mono = out[..., :self._n_mono]
+        np.multiply.reduce(pad[..., self._factors_t], axis=-2, out=mono)
+        if self._exp_cols:
+            np.exp(pad[..., self._exp_cols], out=out[..., self._n_mono:])
+        return out
 
     def jacobian(self, X):
         """d Theta / dx, shape (..., p, d)."""

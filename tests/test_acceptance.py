@@ -17,7 +17,7 @@ from symodes.bench import BenchConfig, emit_report, run_benchmark, term_set
 from symodes.constraint import assemble_equivariant_basis, materialize
 from symodes.discover import (DiscoveryConfig, GpConfig, SindyModel,
                               equiv_r_fit, gp_candidate_fitness, gp_fit,
-                              gp_penalty_data, stlsq)
+                              gp_fitness_points, gp_penalty_data, stlsq)
 from symodes.dynamics import get_system, sample_initial, split_rng
 from symodes.expressions import parse
 from symodes.integrate import rk4_final
@@ -323,13 +323,15 @@ def test_criterion_10_substitute_properties():
         e = parse(text, 2)
         prev = None
         for lam in (0.0, 0.1, 1.0, 10.0):
-            total = gp_candidate_fitness(e, Xp, dXp[:, 0], 1.0, gcfg,
-                                         pairs0, lam)[0]
+            points, targets = gp_fitness_points(Xp, pairs0, lam)
+            total = gp_candidate_fitness(e, points, dXp[:, 0], 1.0, gcfg,
+                                         targets, lam)[0]
             if prev is not None and total < prev - 1e-12:
                 monotone = False
             prev = total
-    eq_pen = gp_candidate_fitness(parse("x2", 2), Xp, dXp[:, 0], 1.0, gcfg,
-                                  pairs0, 1.0)[2]
+    points, targets = gp_fitness_points(Xp, pairs0, 1.0)
+    eq_pen = gp_candidate_fitness(parse("x2", 2), points, dXp[:, 0], 1.0,
+                                  gcfg, targets, 1.0)[2]
     ok_c2 = monotone and eq_pen <= 1e-20
     ok = ok_a and ok_b and ok_c1 and ok_c2
     verdict(10, ok, f"(a) lambda=0 support matches stlsq: {ok_a}; "

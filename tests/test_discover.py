@@ -7,7 +7,8 @@ from symodes.constraint import assemble_equivariant_basis, constraint_residual
 from symodes.discover import (DiscoveryConfig, GpConfig, SindyModel,
                               equation_strings, equiv_c_fit, equiv_r_fit,
                               gp_candidate_fitness, gp_evaluate,
-                              gp_penalty_data, gp_fit, refit_constants, stlsq)
+                              gp_fitness_points, gp_penalty_data, gp_fit,
+                              refit_constants, stlsq)
 from symodes.dynamics import get_system, split_rng
 from symodes.expressions import Expr, parse, to_string
 from symodes.library import build_library
@@ -215,11 +216,13 @@ def test_gp_penalty_zero_for_equivariant_candidate():
     gens = [Generator.linear(ROTATION)]
     pairs = gp_penalty_data(gens, X, dX, eps=0.1)
     pairs0 = [(gX, T[:, 0]) for gX, T in pairs]
+    points, targets = gp_fitness_points(X, pairs0, 1.0)
     cfg = GpConfig(parsimony=0.0)
 
     def pen(text):
         e = parse(text, 2)
-        return gp_candidate_fitness(e, X, dX[:, 0], 1.0, cfg, pairs0, 1.0)[2]
+        return gp_candidate_fitness(e, points, dX[:, 0], 1.0, cfg, targets,
+                                    1.0)[2]
 
     assert pen("x2") <= 1e-25
     assert pen("x2 + 0.1*x1^2") > 1e-4

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, NoiseSpec,
-                              SindyModel, Trajectory, differentiate_trajectory,
-                              estimate_derivatives, get_system, gp_smooth,
-                              gp_smooth_series, load_dataset, make_dataset,
-                              sample_initial, save_dataset, split_rng)
-from symodes.integrate import rk4_record
+from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, LinearField,
+                              NoiseSpec, SindyModel, Trajectory,
+                              differentiate_trajectory, estimate_derivatives,
+                              get_system, gp_smooth, gp_smooth_series,
+                              load_dataset, make_dataset, sample_initial,
+                              save_dataset, split_rng)
+from symodes.integrate import rk4_final, rk4_record, rk4_step
 from symodes.symmetry import check_infinitesimal_criterion
 
 
@@ -301,7 +302,9 @@ def test_make_dataset_noise_override_and_clean_states():
 def test_linear_fields_are_batch_invariant():
     # A row of h(X) has the same bits whether it is evaluated alone, in a
     # batch or in a stacked (2, B, d) batch: the oracle and a dense W-linear
-    # model on every registry system.
+    # model on every registry system, through h and through a field bound
+    # to each batch shape, which gives fresh results while reusing its
+    # buffers.
     rng = np.random.default_rng(8)
     for name, sys in SYSTEMS.items():
         lib = sys.library()
@@ -316,6 +319,80 @@ def test_linear_fields_are_batch_invariant():
             np.testing.assert_array_equal(stacked[0], batch, err_msg=name)
             np.testing.assert_array_equal(stacked[1], batch[::-1],
                                           err_msg=name)
+            bound = model.field(X.shape[:-1])
+            first = bound(X)
+            np.testing.assert_array_equal(bound(X[::-1]), batch[::-1],
+                                          err_msg=name)
+            np.testing.assert_array_equal(first, batch, err_msg=name)
+            one = model.field(())
+            rows = np.array([one(x) for x in X])
+            np.testing.assert_array_equal(rows, batch, err_msg=name)
+            Ws = np.stack([model.W, model.W])[:, None]
+            out = np.empty((2,) + X.shape)
+            LinearField(lib, Ws, (2, len(X)))(np.stack([X, X[::-1]]), out)
+            np.testing.assert_array_equal(out, stacked, err_msg=name)
+
+
+def _reference_field(lib, W):
+    """W Theta with no buffers and no factor table: the bits to reproduce.
+
+    Each monomial is the product of its variables in order, the exp(x_i)
+    columns are np.exp of the gathered states, and the terms are summed
+    from the broadcast product.
+    """
+    monos = [t.exponents for t in lib.terms if not any(t.expflags)]
+    exp_vars = [t.expflags.index(True) for t in lib.terms if any(t.expflags)]
+
+    def h(X):
+        cols = []
+        for exps in monos:
+            col = np.ones(X.shape[:-1])
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    col = col * X[..., i]
+            cols.append(col)
+        theta = np.stack(cols, axis=-1)
+        if exp_vars:
+            theta = np.concatenate([theta, np.exp(X[..., exp_vars])], axis=-1)
+        return (theta[..., None, :] * W).sum(axis=-1)
+
+    return h
+
+
+def test_bound_fields_integrate_with_the_reference_bits():
+    # rk4_record and rk4_final, stepping in place through a bound field,
+    # give the states of an rk4_step loop over the reference field bit for
+    # bit on every registry system (lotka_volterra's library has exp(x_i)
+    # columns): the dataset batch (n, d) through the oracle, and the
+    # stacked long-term-prediction batch (L, B, d) with (L, 1, d, p)
+    # weights, the truth and two dense perturbations of it.
+    rng = np.random.default_rng(12)
+    n_steps, stride = 60, 20
+    for name, sys in SYSTEMS.items():
+        lib = sys.library()
+        truth = sys.truth_matrix(lib)
+        X = np.array([sample_initial(sys, rng) for _ in range(7)])
+        ref = _reference_field(lib, truth)
+        y, want = X, [X]
+        for i in range(1, n_steps + 1):
+            y = rk4_step(ref, y, INTERNAL_DT)
+            if i % stride == 0:
+                want.append(y)
+        got = rk4_record(sys.oracle().field(X.shape[:-1]), X, INTERNAL_DT,
+                         n_steps, stride)
+        np.testing.assert_array_equal(got, np.array(want), err_msg=name)
+
+        Ws = np.stack([truth] + [truth + 0.05 * rng.normal(size=truth.shape)
+                                 for _ in range(2)])[:, None]
+        Y = np.stack([X] * len(Ws))
+        total = n_steps * INTERNAL_DT
+        ref = _reference_field(lib, Ws)
+        want = Y
+        for _ in range(n_steps):
+            want = rk4_step(ref, want, total / n_steps)
+        got = rk4_final(LinearField(lib, Ws, Y.shape[:-1]), Y, total,
+                        n_steps)
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_make_dataset_matches_one_trajectory_at_a_time():

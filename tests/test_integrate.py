@@ -28,6 +28,33 @@ def test_rk4_step_linear_problem_one_step_error():
     assert out[0] == pytest.approx(taylor, abs=1e-15)
 
 
+def test_rk4_in_place_steps_match_rk4_step_for_any_field():
+    # rk4_final and rk4_record step in place; they give the bits of an
+    # rk4_step loop for a field returning a fresh array, a buffer it reuses
+    # (rk4_step itself needs a fresh copy of it), a reversed view of its
+    # argument, or its argument itself.
+    x0 = np.array([[1.0, 0.0], [0.3, -0.7], [-0.2, 0.4]])
+    buf = np.empty_like(x0)
+
+    def reused(x):
+        return np.multiply(x[..., ::-1], [1.0, -1.0], out=buf)
+
+    dt, steps = 0.01, 40
+    for f, fresh in ((harmonic, harmonic), (reused, lambda x: reused(x).copy()),
+                     (lambda x: x[..., ::-1],) * 2, (lambda x: x,) * 2):
+        y, want = x0, [x0]
+        for i in range(1, steps + 1):
+            y = rk4_step(fresh, y, dt)
+            if i % 10 == 0:
+                want.append(y)
+        np.testing.assert_array_equal(rk4_record(f, x0, dt, steps, 10),
+                                      np.array(want))
+        y = x0
+        for _ in range(steps):
+            y = rk4_step(fresh, y, 1.0 / steps)
+        np.testing.assert_array_equal(rk4_final(f, x0, 1.0, steps), y)
+
+
 def test_rk4_final_matches_closed_form():
     x0 = np.array([[1.0, 0.0], [0.3, -0.7]])
     t = 2.5
