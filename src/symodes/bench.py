@@ -378,9 +378,8 @@ def _aggregate_ltp(ltp_parts):
 def run_benchmark(bc):
     """K data-regeneration + discovery runs per method, merged in run order."""
     system = get_system(bc.system)
-    truth_coeffs = [{t.label(): v for t, v in
-                     canonicalize(rhs, system.library()).items()}
-                    for rhs in system.rhs]
+    truth_coeffs = [{t.label(): v for t, v in c.items()}
+                    for c in system.oracle().coefficients()]
     args = [(bc, k) for k in range(bc.runs)]
     t_start = time.perf_counter()
     if bc.jobs > 1:

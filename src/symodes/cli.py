@@ -431,23 +431,21 @@ def cmd_discover(cfg):
 def cmd_benchmark(cfg):
     system = get_system(_require(cfg, "system", "benchmark needs a system"))
     master = cfg.get("seeds", {}).get("master", 0)
-    section = cfg.get("benchmark", {})
+    # the benchmark section's keys are BenchConfig fields; its lists are tuples
+    section = {k: tuple(v) if isinstance(v, list) else v
+               for k, v in cfg.get("benchmark", {}).items()}
     data = _data_overrides(cfg, system)
     bc = BenchConfig(
         system=system.name,
-        methods=tuple(section.get("methods", ("sindy", "equiv-c"))),
-        runs=section.get("runs", 20),
         seed=master,
         noise=data.pop("noise", None),
         discovery=(_build_discovery(cfg, system, master)
                    if "discovery" in cfg else None),
         generators=(_build_generators(cfg, system.dim)
                     if "generators" in cfg else None),
-        horizon=section.get("horizon"),
-        n_checkpoints=section.get("n_checkpoints", 10),
-        ltp_ics=section.get("ltp_ics", 5),
         data=tuple(data.items()),
         jobs=cfg.get("jobs", 1),
+        **section,
     )
     report = run_benchmark(bc)
     prov = _provenance(cfg)

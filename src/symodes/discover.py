@@ -1,6 +1,7 @@
 """Equation-discovery engines over a fixed function library.
 
-Four fitters share the data interface (a Dataset or an (X, dX) pair):
+Four fitters; all but stlsq, which takes (Theta, dX, threshold), accept a
+Dataset or an (X, dX) pair:
 
 * stlsq           -- sequentially thresholded least squares on W.
 * equiv_c_fit     -- least squares restricted to the nullspace of the
@@ -36,7 +37,7 @@ from .constraint import assemble_equivariant_basis, materialize
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
 from .expressions import (Expr, evaluate, evaluate_all, evaluate_unguarded,
-                          expand, to_string)
+                          expand, monomial, to_string)
 from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError, GroupElement,
                        symmetry_loss_grad)
 
@@ -507,30 +508,6 @@ def _additive_terms(e, sign=1.0):
     return [(sign, e)]
 
 
-def _monomial_expr(exps, ecounts):
-    factors = []
-    for i, n in enumerate(exps):
-        if n == 1:
-            factors.append(Expr.var(i))
-        elif n > 1:
-            factors.append(Expr.pow(Expr.var(i), n))
-    lin = None
-    for i, m in enumerate(ecounts):
-        if m == 0:
-            continue
-        part = Expr.var(i) if m == 1 else Expr.mul(Expr.const(float(m)),
-                                                   Expr.var(i))
-        lin = part if lin is None else Expr.add(lin, part)
-    if lin is not None:
-        factors.append(Expr.exp(lin))
-    if not factors:
-        return Expr.const(1.0)
-    out = factors[0]
-    for f in factors[1:]:
-        out = Expr.mul(out, f)
-    return out
-
-
 def refit_constants(e, X, y):
     """Least-squares refit of the tree's linear-in-constant slots.
 
@@ -543,7 +520,7 @@ def refit_constants(e, X, y):
     terms = None
     monomials = expand(e, dim)
     if monomials is not None and 0 < len(monomials) <= 40:
-        terms = [(1.0, _monomial_expr(*key)) for key in sorted(monomials)]
+        terms = [(1.0, monomial(*key)) for key in sorted(monomials)]
     if terms is None:
         terms = _additive_terms(e)
     cols = []

@@ -567,6 +567,35 @@ def expand(e, dim):
     raise AssertionError(k)
 
 
+def monomial(exps, ecounts):
+    """The tree that expand() maps to {(exps, ecounts): 1.0}.
+
+    It is x^exps * exp(sum_i ecounts_i x_i): factors multiply left to right
+    in variable order with the exp factor last, and the empty product is 1.
+    """
+    factors = []
+    for i, n in enumerate(exps):
+        if n == 1:
+            factors.append(Expr.var(i))
+        elif n > 1:
+            factors.append(Expr.pow(Expr.var(i), n))
+    lin = None
+    for i, m in enumerate(ecounts):
+        if m == 0:
+            continue
+        part = Expr.var(i) if m == 1 else Expr.mul(Expr.const(float(m)),
+                                                   Expr.var(i))
+        lin = part if lin is None else Expr.add(lin, part)
+    if lin is not None:
+        factors.append(Expr.exp(lin))
+    if not factors:
+        return Expr.const(1.0)
+    out = factors[0]
+    for f in factors[1:]:
+        out = Expr.mul(out, f)
+    return out
+
+
 def _convolve(a, b):
     out = {}
     for (ea, ca), va in a.items():

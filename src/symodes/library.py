@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, expand
+from .expressions import Expr, expand, monomial
 
 COEFF_DROP_TOL = 1e-12
 
@@ -116,24 +116,6 @@ class FunctionLibrary:
 
     def labels(self):
         return [t.label() for t in self.terms]
-
-    def term_expr(self, mu):
-        """The mu-th term as an expression tree."""
-        t = self.terms[mu]
-        if any(t.expflags):
-            return Expr.exp(Expr.var(t.expflags.index(True)))
-        factors = []
-        for i, e in enumerate(t.exponents):
-            if e == 1:
-                factors.append(Expr.var(i))
-            elif e > 1:
-                factors.append(Expr.pow(Expr.var(i), e))
-        if not factors:
-            return Expr.const(1.0)
-        out = factors[0]
-        for f in factors[1:]:
-            out = Expr.mul(out, f)
-        return out
 
     # -- numerics --------------------------------------------------------
 
@@ -265,7 +247,9 @@ def from_canonical(coeffs, lib):
     """Rebuild an expression tree from library coordinates."""
     out = None
     for key, c in coeffs.items():
-        term = Expr.mul(Expr.const(c), lib.term_expr(lib.index_of(key)))
+        lib.index_of(key)  # NotInSpanError for a key outside lib
+        term = Expr.mul(Expr.const(c),
+                        monomial(key.exponents, tuple(map(int, key.expflags))))
         out = term if out is None else Expr.add(out, term)
     return out if out is not None else Expr.const(0.0)
 

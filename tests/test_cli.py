@@ -9,6 +9,7 @@ import pytest
 
 from symodes import __version__
 from symodes import cli
+from symodes.bench import BenchConfig, _config_snapshot
 from symodes.cli import config_hash, main, validate_config
 
 
@@ -272,6 +273,38 @@ def test_benchmark_artifacts_and_provenance(tmp_path, capsys):
         assert any(line.startswith("# master_seed=") for line in head)
     agg = report["aggregates"]
     assert agg["equiv-c"]["success"]["all"] == 1.0
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("section, given", [
+    ({}, {}),
+    ({"runs": 3}, {"runs": 3}),
+    ({"methods": ["gp", "sindy"], "horizon": None, "ltp_ics": 2},
+     {"methods": ("gp", "sindy"), "ltp_ics": 2}),
+    ({"horizon": 4.5, "n_checkpoints": 3}, {"horizon": 4.5,
+                                            "n_checkpoints": 3}),
+])
+def test_benchmark_section_fills_bench_config(monkeypatch, section, given):
+    # Keys the section leaves out keep these defaults, and the report's
+    # config snapshot has the same bytes as for the fully spelled-out config.
+    seen = []
+
+    def capture(bc):
+        seen.append(bc)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    with pytest.raises(_Stop):
+        cli.cmd_benchmark({"system": "oscillator", "benchmark": section})
+    fields = {"methods": ("sindy", "equiv-c"), "runs": 20, "horizon": None,
+              "n_checkpoints": 10, "ltp_ics": 5, **given}
+    want = BenchConfig(system="oscillator", seed=0, **fields)
+    assert seen == [want]
+    assert (json.dumps(_config_snapshot(seen[0]))
+            == json.dumps(_config_snapshot(want)))
 
 
 def test_console_entry_point_reports_version():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from symodes.expressions import (Expr, ExprSyntaxError, differentiate,
-                                 evaluate, evaluate_all, parse, to_string)
+                                 evaluate, evaluate_all, expand, monomial,
+                                 parse, to_string)
 
 
 def test_parse_and_eval_basics():
@@ -237,3 +238,20 @@ def test_evaluate_all_stacks_evaluate():
                                   equal_nan=True)
         row = evaluate_all(exprs, X[1], protected)
         assert np.array_equal(row, out[1], equal_nan=True)
+
+
+@pytest.mark.parametrize("exps, ecounts", [
+    ((0, 0), (0, 0)),                  # the constant 1
+    ((1, 0), (0, 0)),
+    ((1, 1), (0, 0)),                  # a product
+    ((3, 0), (0, 0)),                  # a power
+    ((2, 1), (0, 0)),
+    ((0, 0), (0, 1)),                  # exp(x2)
+    ((0, 0), (2, 0)),                  # exp(2*x1)
+    ((0, 0), (1, 1)),                  # exp(x1 + x2)
+    ((1, 2), (2, 1)),                  # x1*x2^2*exp(2*x1 + x2)
+    ((0, 3, 1), (0, 2, 1)),
+])
+def test_monomial_inverts_expand(exps, ecounts):
+    e = monomial(exps, ecounts)
+    assert expand(e, len(exps)) == {(exps, ecounts): 1.0}

@@ -199,3 +199,47 @@ def test_loss_gradients_match_finite_differences(kind):
             fd = (fp - fm) / (2 * h)
             scale = max(1.0, abs(fd))
             assert abs(grad[a, mu] - fd) / scale <= 1e-5
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("nope", {}),
+    ("igfe", {}),                      # tau is required
+    ("fgfe", {}),
+    ("fgfe", {"tau": 0.2, "eps": 0.0}),
+])
+def test_value_and_gradient_paths_reject_the_same_arguments(kind, kwargs):
+    # The arguments are checked before the no-generator shortcut, so an
+    # empty generator list does not hide a bad call on either path.
+    model = oscillator_model()
+    X = np.random.default_rng(3).normal(size=(4, 2))
+    for gens in ([Generator.linear(ROTATION)], []):
+        with pytest.raises(ValueError):
+            symmetry_loss(kind, model, gens, X, **kwargs)
+        with pytest.raises(ValueError):
+            symmetry_loss_grad(kind, model, gens, X, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["igie", "fgie", "igfe", "fgfe"])
+def test_points_with_vanishing_denominators_are_skipped(kind):
+    # A model without a constant term has h(0) = 0, and the rotation fixes
+    # the origin, so every loss's denominator vanishes there: the origin
+    # must leave the value and the gradient exactly as without it.
+    lib = build_library(2, 2)
+    rng = np.random.default_rng(41)
+    W = 0.3 * rng.normal(size=(2, lib.size))
+    W[:, lib.index_of(key((0, 0)))] = 0.0
+    model = SindyModel(lib, W)
+    gens = [Generator.linear(ROTATION)]
+    X = rng.normal(size=(6, 2)) + 1.0
+    with_origin = np.insert(X, 3, 0.0, axis=0)
+    kwargs = {"tau": 0.2} if kind in ("igfe", "fgfe") else {}
+
+    want = symmetry_loss(kind, model, gens, X, **kwargs)
+    got = symmetry_loss(kind, model, gens, with_origin, **kwargs)
+    assert got == pytest.approx(want, rel=1e-12)
+    want_val, want_grad = symmetry_loss_grad(kind, model, gens, X, **kwargs)
+    got_val, got_grad = symmetry_loss_grad(kind, model, gens, with_origin,
+                                           **kwargs)
+    assert got_val == pytest.approx(want_val, rel=1e-12)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(want_grad).max())
