@@ -569,7 +569,12 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:       # --help and --version
+            raise
+        return 1                # argparse's usage errors are config errors
     try:
         cfg = merge_config(args)
         return COMMANDS[args.command][0](cfg)

@@ -125,16 +125,6 @@ def materialize(basis, beta):
     return unvec(basis.Q @ beta, basis.dim, basis.size)
 
 
-def coordinates(basis, W):
-    """beta = Q^T vec(W), the basis coordinates of (the projection of) W."""
-    return basis.Q.T @ vec(W)
-
-
-def project(basis, W):
-    """Orthogonal projection of W onto the equivariant subspace."""
-    return unvec(basis.Q @ coordinates(basis, W), basis.dim, basis.size)
-
-
 def constraint_residual(basis, W):
     """max over generators of |L W - W M|_F, for reporting and tests."""
     W = np.asarray(W, dtype=float)
@@ -144,13 +134,3 @@ def constraint_residual(basis, W):
         worst = max(worst, float(np.linalg.norm(
             gen.matrix @ W - W @ M)))
     return worst
-
-
-def subspace_gap(Q1, Q2):
-    """Largest principal-angle sine between two orthonormal column spans."""
-    if Q1.shape != Q2.shape:
-        return 1.0
-    if Q1.shape[1] == 0:
-        return 0.0
-    s = np.linalg.svd(Q1.T @ Q2, compute_uv=False)
-    return float(np.sqrt(max(0.0, 1.0 - s.min() ** 2)))

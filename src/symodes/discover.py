@@ -36,10 +36,10 @@ import scipy.optimize
 from .constraint import assemble_equivariant_basis, materialize
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
-from .expressions import (Expr, evaluate, evaluate_all, evaluate_unguarded,
-                          expand, monomial, to_string)
-from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError, GroupElement,
-                       symmetry_loss_grad)
+from .expressions import (Expr, evaluate, evaluate_all, expand, monomial,
+                          to_string)
+from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError,
+                       precompute_transforms, symmetry_loss_grad)
 
 
 @dataclass(frozen=True)
@@ -304,9 +304,10 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
     """Symmetry-regularized regression with sequential thresholding.
 
     Minimizes the mean squared equation error plus lambda times the
-    configured symmetry loss, evaluated on a fixed 512-state subsample.
-    When cfg.lambda_symm is None the weight is picked from cfg.lambda_grid
-    by equation error on the validation split (0.1 if there is none).
+    configured symmetry loss, evaluated on a fixed subsample of
+    min(cfg.batch, N) of the N training states.  When cfg.lambda_symm is
+    None the weight is picked from cfg.lambda_grid by equation error on the
+    validation split (0.1 if there is none).
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
@@ -437,13 +438,8 @@ def gp_penalty_data(gens, X, dX, eps):
     only ever evaluates trees at the precomputed transformed points, stacked
     with the fit points into one evaluation per candidate.
     """
-    out = []
-    for g in gens:
-        ge = GroupElement(g, eps)
-        gX = ge.transform(X)
-        T = np.einsum("nij,nj->ni", ge.jacobian(X), dX)
-        out.append((gX, T))
-    return out
+    return [(gX, np.einsum("nij,nj->ni", Jg, dX))
+            for gX, Jg in precompute_transforms(gens, X, eps)]
 
 
 def _mean_square(r):
@@ -476,7 +472,7 @@ def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
     size = e.size
     n = y.shape[0]
     with np.errstate(all="ignore"):
-        v = evaluate_unguarded(e, points, protected=True)
+        v = evaluate(e, points, protected=True)
         mse = _mean_square(v[:n] - y) * inv_var
         if not np.isfinite(mse):
             return (np.inf, np.inf, 0.0, size)

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from . import __version__ as _tool_version
 from .expressions import parse
-from .integrate import rk4_final, rk4_flow_jvp, rk4_record
+from .integrate import rk4_final, rk4_flow_tangents, rk4_record
 from .library import build_library, m_theta
 from .symmetry import DEFAULT_FLOW_STEPS, Generator
 
@@ -170,8 +170,10 @@ class SindyModel:
 
     def flow_jvp(self, X, U, tau, steps=DEFAULT_FLOW_STEPS):
         X = np.atleast_2d(np.asarray(X, float))
-        return rk4_flow_jvp(self.field(X.shape[:-1]), self.h_jacobian, X,
-                            np.atleast_2d(np.asarray(U, float)), tau, steps)
+        U = np.atleast_2d(np.asarray(U, float))
+        y, V = rk4_flow_tangents(self.field(X.shape[:-1]), self.h_jacobian,
+                                 X, U[..., None], tau, steps)
+        return y, V[..., 0]
 
     def coefficients(self):
         """Per-equation {TermKey: value} over the nonzero entries."""

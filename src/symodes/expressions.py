@@ -12,9 +12,10 @@ Grammar accepted by :func:`parse` (whitespace is insignificant):
 
 Exponents are literal nonnegative integers; anything else after "^" is a
 syntax error.  Evaluation follows IEEE semantics: division by zero and
-overflow produce non-finite values instead of raising, so callers decide how
-to treat them (the GP engine asks for protected division instead, where any
-x/0 is 1).  Nodes are immutable; rewriting always builds new trees.
+overflow produce non-finite values, reported (ignored, warned or raised) as
+the caller's np.errstate says, so callers that create them on purpose enter
+their own np.errstate (the GP engine also asks for protected division, where
+any x/0 is 1).  Nodes are immutable; rewriting always builds new trees.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class Expr:
         """The number of nodes, counted recursively (`size` stores it)."""
         return 1 + sum(c.node_count() for c in self.children)
 
-    def depth(self):
-        return self.height
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
@@ -147,18 +145,9 @@ def evaluate(e, x, protected=False):
     """Evaluate e at points x of shape (..., d); returns shape (...).
 
     Non-finite intermediate values (division by zero, exp overflow) propagate
-    as inf/nan; nothing raises.  With protected, any division by zero,
-    including 0/0, evaluates to 1 instead.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return evaluate_unguarded(e, x, protected)
-
-
-def evaluate_unguarded(e, x, protected=False):
-    """evaluate(e, x, protected) under the caller's np.errstate.
-
-    For callers that already ignore floating-point errors around more work
-    than the one evaluation; entering np.errstate costs microseconds.
+    as inf/nan, and IEEE errors are reported under the caller's np.errstate.
+    With protected, any division by zero, including 0/0, evaluates to 1
+    instead.
     """
     x = np.asarray(x, dtype=float)
     out = _eval(e, x, protected)
@@ -175,9 +164,8 @@ def evaluate_all(exprs, x, protected=False, out=None):
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty(x.shape[:-1] + (len(exprs),))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, e in enumerate(exprs):
-            out[..., i] = _eval(e, x, protected)
+    for i, e in enumerate(exprs):
+        out[..., i] = _eval(e, x, protected)
     return out
 
 

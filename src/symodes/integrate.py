@@ -5,13 +5,14 @@ States are arrays of shape (..., d) and vector fields map (..., d) to
 The same fourth-order stepper drives trajectory generation, group flows,
 variational (tangent) propagation, and the parameter-sensitivity systems, so
 that quantities differentiated through the flow see exactly the discrete map
-that produced the values.
+that produced the values: a tangent or sensitivity system is packed with its
+state into one array (rk4_flow_tangents) and advanced by rk4_final.
 
 rk4_final and rk4_record advance one state array in place, writing every
 RK4 temporary into scratch arrays kept for the whole integration, so the
-stepper allocates nothing per step and gives rk4_step's bits.  A field's result is used only
-until its next call, so a field may return a buffer it reuses or its own
-argument.
+stepper allocates nothing per step and gives rk4_step's bits.  A field's
+result is used only until its next call, so a field may return a buffer it
+reuses or its own argument.
 """
 
 from __future__ import annotations
@@ -92,55 +93,25 @@ def rk4_record(f, y0, dt_internal, n_internal, stride):
     return out
 
 
-def rk4_tree(f, state, total_time, steps):
-    """RK4 on a tuple of arrays evolving jointly.
+def rk4_flow_tangents(f, jac, y0, V0, total_time, steps):
+    """Flow endpoint and tangents J_flow(y0) V0, with V0 of shape (..., d, m).
 
-    f maps a tuple of arrays to a tuple of arrays of the same shapes.  Used
-    for variational and parameter-sensitivity systems, which must share the
-    base trajectory's discretization bit for bit.
+    The tangents follow the variational equation dV/dt = J_f(y) V rather
+    than a finite difference of the flow.  y and V advance packed as one
+    array z of shape (..., d, 1 + m), z[..., 0] = y and z[..., 1:] = V,
+    through rk4_final.  Returns (y, V).
     """
-    state = tuple(np.asarray(s, dtype=float) for s in state)
-    dt = total_time / steps
+    y0, V0 = np.asarray(y0, dtype=float), np.asarray(V0, dtype=float)
+    V0 = np.broadcast_to(V0, y0.shape + V0.shape[-1:])
+    dz = np.empty(V0.shape[:-1] + (1 + V0.shape[-1],))
 
-    def axpy(y, a, k):
-        return tuple(yi + a * ki for yi, ki in zip(y, k))
+    def rhs(z):
+        y = z[..., 0]
+        dz[..., 0] = f(y)
+        np.einsum("...ij,...jm->...im", jac(y), z[..., 1:], out=dz[..., 1:])
+        return dz
 
-    for _ in range(steps):
-        k1 = f(state)
-        k2 = f(axpy(state, 0.5 * dt, k1))
-        k3 = f(axpy(state, 0.5 * dt, k2))
-        k4 = f(axpy(state, dt, k3))
-        state = tuple(
-            y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for y, a, b, c, d in zip(state, k1, k2, k3, k4))
-    return state
-
-
-def rk4_flow_jvp(f, jac, y0, u0, total_time, steps):
-    """Flow endpoint and its Jacobian-vector product along u0.
-
-    Propagates the variational equation du/dt = J_f(y) u next to the state,
-    rather than finite-differencing the flow.
-    """
-    def rhs(state):
-        y, u = state
-        J = jac(y)
-        return f(y), np.einsum("...ij,...j->...i", J, u)
-
-    y_end, u_end = rk4_tree(rhs, (y0, u0), total_time, steps)
-    return y_end, u_end
-
-
-def rk4_flow_jacobian(f, jac, y0, total_time, steps):
-    """Flow endpoint and full Jacobian d flow / d y0, shape (..., d, d)."""
-    y0 = np.asarray(y0, dtype=float)
-    d = y0.shape[-1]
-    eye = np.broadcast_to(np.eye(d), y0.shape[:-1] + (d, d)).copy()
-
-    def rhs(state):
-        y, J = state
-        Jy = jac(y)
-        return f(y), np.einsum("...ik,...kj->...ij", Jy, J)
-
-    y_end, J_end = rk4_tree(rhs, (y0, eye), total_time, steps)
-    return y_end, J_end
+    z = rk4_final(rhs, np.concatenate([y0[..., None], V0], axis=-1),
+                  total_time, steps)
+    # contiguous copies, so later BLAS products see fresh-array layouts
+    return z[..., 0].copy(), z[..., 1:].copy()

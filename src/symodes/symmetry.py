@@ -16,10 +16,12 @@ loss here:
     igfe:  |J_f v - v(f(x))|^2      / |J_f v|^2
     fgfe:  |f(g x) - g f(x)|^2      / |f(g x) - f(x)|^2
 
-igie and igfe need no group element; only igie needs second derivatives of the
-learned dynamics; igfe and fgfe integrate the learned flow.  Losses average
-the per-point, per-generator ratios; points whose denominator underflows
-DENOM_TOL are skipped and counted instead of clamped.
+igie and igfe need no group element; igfe and fgfe integrate the learned
+flow.  Only igfe's gradient needs second derivatives of the learned dynamics
+(the tangent's sensitivity); every value and the other gradients use first
+derivatives at most.  Losses average the per-point, per-generator ratios;
+points whose denominator underflows DENOM_TOL are skipped and counted
+instead of clamped.
 
 For models that are linear in their parameters, h(x) = W Theta(x), every loss
 also has an analytic gradient in W, obtained by propagating parameter
@@ -36,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .expressions import differentiate, evaluate_all, parse, to_string
-from .integrate import IntegrationError, rk4_final, rk4_flow_jacobian, rk4_tree
+from .integrate import IntegrationError, rk4_final, rk4_flow_tangents
 
 DENOM_TOL = 1e-30
 DEFAULT_EPS = 0.1
@@ -168,8 +170,8 @@ class GroupElement:
             return np.broadcast_to(self._A, X.shape[:-1] + (d, d)).copy()
         if self.eps == 0.0:
             return np.broadcast_to(np.eye(d), X.shape[:-1] + (d, d)).copy()
-        _, J = rk4_flow_jacobian(self.generator, self.generator.jacobian,
-                                 X, self.eps, self.steps)
+        _, J = rk4_flow_tangents(self.generator, self.generator.jacobian,
+                                 X, np.eye(d), self.eps, self.steps)
         if not np.all(np.isfinite(J)):
             raise IntegrationError(
                 self.steps, "group flow Jacobian diverged")
@@ -360,39 +362,45 @@ def _flow_with_sensitivity(W, lib, X, tau, steps, V0=None):
     """Integrate y (and optionally a tangent delta) with d/dW sensitivities.
 
     Returns (y, Sy) or (y, delta, Sy, Sdelta); S arrays have shape
-    (n, d, p, d) indexed [point, state, column, row] of W.
+    (n, d, p, d) indexed [point, state, column, row] of W.  The parts
+    advance packed along the last axis of one (n, d, k) array, per state
+    component: y, [delta], Sy, [Sdelta], through rk4_final.
     """
     W = np.asarray(W, dtype=float)
     d, p = W.shape
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    Sy0 = np.zeros((n, d, p, d))
-    with_delta = V0 is not None
+    k = 1 if V0 is None else 2       # y and, if given, the tangent delta
+    z0 = np.zeros((n, d, k * (1 + p * d)))
+    z0[..., 0] = X
+    if V0 is not None:
+        z0[..., 1] = V0
+    dz = np.empty_like(z0)
 
-    def rhs(state):
-        if with_delta:
-            y, de, Sy, Sd = state
-        else:
-            y, Sy = state
+    def split(z):
+        """Views [y, (delta,) Sy, (Sdelta)] of a packed array."""
+        S = z[..., k:].reshape(n, d, k, p, d)
+        return [z[..., i] for i in range(k)] + [S[:, :, i] for i in range(k)]
+
+    def rhs(z):
+        v, out = split(z), split(dz)
+        y, Sy = v[0], v[k]
         Th = lib.evaluate(y)
         Jth = lib.jacobian(y)
         Jh = np.einsum("ip,npj->nij", W, Jth)
-        fy = Th @ W.T
-        fSy = _direct_term(Th, d) + np.einsum("nij,njma->nima", Jh, Sy)
-        if not with_delta:
-            return fy, fSy
-        fde = np.einsum("nij,nj->ni", Jh, de)
-        T = np.einsum("ip,npk->nik", W, lib.hessian_vp(y, de))
-        fSd = (_direct_term(np.einsum("npj,nj->np", Jth, de), d)
-               + np.einsum("nik,nkma->nima", T, Sy)
-               + np.einsum("nij,njma->nima", Jh, Sd))
-        return fy, fde, fSy, fSd
+        out[0][...] = Th @ W.T
+        out[k][...] = (_direct_term(Th, d)
+                       + np.einsum("nij,njma->nima", Jh, Sy))
+        if k == 2:
+            de, Sd = v[1], v[3]
+            out[1][...] = np.einsum("nij,nj->ni", Jh, de)
+            T = np.einsum("ip,npk->nik", W, lib.hessian_vp(y, de))
+            out[3][...] = (_direct_term(np.einsum("npj,nj->np", Jth, de), d)
+                           + np.einsum("nik,nkma->nima", T, Sy)
+                           + np.einsum("nij,njma->nima", Jh, Sd))
+        return dz
 
-    if with_delta:
-        state = (X, np.asarray(V0, dtype=float), Sy0, Sy0.copy())
-    else:
-        state = (X, Sy0)
-    return rk4_tree(rhs, state, tau, steps)
+    return tuple(a.copy() for a in split(rk4_final(rhs, z0, tau, steps)))
 
 
 def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,

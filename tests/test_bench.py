@@ -1,6 +1,7 @@
 """Benchmark metrics, long-term prediction, aggregation, and report I/O."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from symodes.bench import (NONCANONICAL, BenchConfig, aggregate_records,
                            derive_seed, emit_report, load_report,
                            long_term_error, rmse_params, run_benchmark,
                            success, term_set)
-from symodes.discover import SindyModel
+from symodes.discover import GpResult, SindyModel
 from symodes.dynamics import NoiseSpec, get_system
+from symodes.expressions import parse
 from symodes.library import build_library
 
 
@@ -54,8 +56,6 @@ def test_term_set_min_coef_guard():
 
 
 def test_term_set_noncanonical_sentinel():
-    from symodes.expressions import parse
-
     lib = build_library(2, 2)
     sets = term_set([parse("exp(exp(x1))", 2), parse("x1", 2)], lib)
     assert sets[0] == (NONCANONICAL, {})
@@ -158,6 +158,20 @@ def test_long_term_error_divergence_is_sticky():
     assert np.isfinite(out["errors"]).all()
 
 
+def test_long_term_error_owns_its_errstate():
+    # Tree models divide by zero on purpose (protected division); LTP, not
+    # the evaluator, silences the IEEE errors, so none escapes as a warning.
+    sys = get_system("oscillator")
+    tree = GpResult(exprs=[parse("x1/(x2 - x2)", 2), parse("-x1", 2)],
+                    fitness=[], history=[])
+    ics = np.array([[1.0, 0.0], [0.5, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = long_term_error({"tree": tree}, sys, ics, horizon=1.0,
+                              checkpoints=[0.5, 1.0])["tree"]
+    assert np.isfinite(out["errors"]).all()
+
+
 def test_long_term_error_validates_checkpoints():
     sys = get_system("oscillator")
     lib = sys.library()
@@ -173,9 +187,6 @@ def test_long_term_error_validates_checkpoints():
 
 def oscillator_models():
     """Two W-linear models, a GP expression model and test states."""
-    from symodes.discover import GpResult
-    from symodes.expressions import parse
-
     sys = get_system("oscillator")
     lib = sys.library()
     W = sys.truth_matrix(lib)
@@ -210,9 +221,6 @@ def test_long_term_error_divergent_block_leaves_the_others_alone():
     # its block of the stacked batch turns inf and then nan.  The tree model
     # "tree-boom" (x1' = 1 + x1^2) does so before t = 1.6; its errors and
     # flags are those it gets when integrated alone.
-    from symodes.discover import GpResult
-    from symodes.expressions import parse
-
     sys, models, ics = oscillator_models()
     lib = sys.library()
     W = np.zeros((2, lib.size))

@@ -95,6 +95,29 @@ def test_bad_config_key_exits_1(tmp_path, capsys):
     assert "benchmark" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--seed", "abc"],
+    ["generate", "--bogus", "1"],
+    ["discover", "--method", "nope"],
+    [],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # A mistake on the command line is a config error, like the same
+    # mistake in a config file, not argparse's own status 2.
+    assert run_cli(*argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_and_version_still_exit_0(capsys):
+    for flag in ("--help", "--version"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(flag)
+        assert exc.value.code == 0
+    res = subprocess.run([sys.executable, "-m", "symodes.cli"],
+                         capture_output=True, text=True)
+    assert res.returncode == 1
+
+
 def test_missing_dataset_exits_2(tmp_path):
     assert run_cli("discover", "--dataset", str(tmp_path / "nope"),
                    "--method", "sindy") == 2

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from symodes.constraint import (assemble_equivariant_basis, constraint_block,
-                                constraint_residual, coordinates, materialize,
-                                project, subspace_gap, unvec, vec)
+                                constraint_residual, materialize, unvec, vec)
 from symodes.dynamics import get_system
 from symodes.library import (FunctionLibrary, build_library,
                              generator_structure_matrix)
@@ -75,8 +74,11 @@ def test_truth_coefficients_are_annihilated():
         W_true = sys.truth_matrix(lib)
         basis = assemble_equivariant_basis(lib, sys.generators)
         assert np.linalg.norm(basis.C @ vec(W_true)) <= 1e-12
-        # Projecting the truth onto the subspace changes nothing.
-        np.testing.assert_allclose(project(basis, W_true), W_true, atol=1e-12)
+        # Projecting the truth onto the subspace, Q Q^T vec(W), changes
+        # nothing.
+        Q = basis.Q
+        np.testing.assert_allclose(Q @ (Q.T @ vec(W_true)), vec(W_true),
+                                   atol=1e-12)
 
 
 def test_materialized_fields_commute_exactly():
@@ -120,7 +122,8 @@ def test_coordinates_round_trip():
     rng = np.random.default_rng(7)
     beta = rng.normal(size=basis.nullity)
     W = materialize(basis, beta)
-    np.testing.assert_allclose(coordinates(basis, W), beta, atol=1e-12)
+    # The basis coordinates Q^T vec(W) of a materialized W are its beta.
+    np.testing.assert_allclose(basis.Q.T @ vec(W), beta, atol=1e-12)
 
 
 def test_pins_zero_out_coefficients_and_shrink_nullity():
@@ -145,13 +148,6 @@ def test_singular_values_descending():
     basis = assemble_equivariant_basis(lib, sys.generators)
     s = basis.singular_values
     assert np.all(np.diff(s) <= 1e-12)
-
-
-def test_subspace_gap_identical_and_disjoint():
-    Q1 = np.eye(4)[:, :2]
-    Q2 = np.eye(4)[:, 2:]
-    assert subspace_gap(Q1, Q1) <= 1e-14
-    assert subspace_gap(Q1, Q2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symbolic_generators_rejected():

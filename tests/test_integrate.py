@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from symodes.integrate import (IntegrationError, rk4_final, rk4_flow_jacobian,
-                               rk4_flow_jvp, rk4_record, rk4_step)
+from symodes.dynamics import SindyModel, get_system
+from symodes.integrate import (IntegrationError, rk4_final, rk4_flow_tangents,
+                               rk4_record, rk4_step)
 
 
 def harmonic(x):
@@ -118,7 +119,8 @@ def test_rk4_flow_jvp_matches_finite_differences():
         J[..., 1, 0] = -1.0
         return J
 
-    y_end, jvp = rk4_flow_jvp(harmonic, jac, X, U, tau, 64)
+    y_end, V = rk4_flow_tangents(harmonic, jac, X, U[..., None], tau, 64)
+    jvp = V[..., 0]
     np.testing.assert_allclose(y_end, rk4_final(harmonic, X, tau, 64),
                                atol=1e-14)
     h = 1e-6
@@ -137,6 +139,35 @@ def test_rk4_flow_jacobian_linear_system_is_matrix_exponential():
 
     X = np.array([[0.4, -1.2]])
     tau = 0.9
-    y_end, J = rk4_flow_jacobian(harmonic, jac, X, tau, 256)
+    y_end, J = rk4_flow_tangents(harmonic, jac, X, np.eye(2), tau, 256)
     np.testing.assert_allclose(y_end, harmonic_exact(X, tau), atol=1e-10)
     np.testing.assert_allclose(J[0], scipy.linalg.expm(tau * L), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["oscillator", "seir"])
+def test_flow_tangent_columns_advance_independently(name):
+    # Packed tangent columns do not mix: each column of a three-column V0
+    # has the bits of integrating that column alone, and the columns for
+    # V0 = I are the unit-vector Jacobian-vector products.
+    system = get_system(name)
+    lib = system.library()
+    rng = np.random.default_rng(11)
+    W = system.truth_matrix(lib) + 0.01 * rng.normal(size=(system.dim,
+                                                           lib.size))
+    model = SindyModel(lib, W)
+    d = system.dim
+    X = 0.5 + 0.3 * rng.random((5, d))
+    V0 = rng.normal(size=(5, d, 3))
+    field = model.field(X.shape[:-1])
+    y, V = rk4_flow_tangents(field, model.h_jacobian, X, V0, 0.3, 16)
+    for m in range(3):
+        y_m, V_m = rk4_flow_tangents(field, model.h_jacobian, X,
+                                     V0[..., m:m + 1], 0.3, 16)
+        assert np.array_equal(y_m, y)
+        assert np.array_equal(V_m[..., 0], V[..., m])
+    _, J = rk4_flow_tangents(field, model.h_jacobian, X, np.eye(d), 0.3, 16)
+    for k in range(d):
+        U = np.broadcast_to(np.eye(d)[k], X.shape)
+        y_k, jvp = model.flow_jvp(X, U, 0.3, 16)
+        assert np.array_equal(y_k, y)
+        assert np.array_equal(jvp, J[..., k])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from symodes.discover import SindyModel
-from symodes.library import TermKey, build_library
+from symodes.library import FunctionLibrary, TermKey, build_library
 from symodes.symmetry import (DegenerateLossError, Generator, GroupElement,
                               check_infinitesimal_criterion, loss_fgfe,
                               loss_fgie, loss_igfe, loss_igie,
@@ -199,6 +199,29 @@ def test_loss_gradients_match_finite_differences(kind):
             fd = (fp - fm) / (2 * h)
             scale = max(1.0, abs(fd))
             assert abs(grad[a, mu] - fd) / scale <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["igie", "fgie", "igfe", "fgfe"])
+def test_only_the_igfe_gradient_uses_second_derivatives(kind, monkeypatch):
+    # Every value path and the igie, fgie and fgfe gradients use first
+    # derivatives at most; igfe's gradient carries the tangent's
+    # sensitivity, which needs Hessian-vector products of the library.
+    calls = []
+    hessian_vp = FunctionLibrary.hessian_vp
+
+    def counted(self, X, U):
+        calls.append(1)
+        return hessian_vp(self, X, U)
+
+    monkeypatch.setattr(FunctionLibrary, "hessian_vp", counted)
+    model = broken_model()
+    gens = [Generator.linear(ROTATION)]
+    X = np.random.default_rng(5).normal(size=(8, 2)) + 1.0
+    kwargs = {"tau": 0.2} if kind in ("igfe", "fgfe") else {}
+    symmetry_loss(kind, model, gens, X, **kwargs)
+    assert len(calls) == 0
+    symmetry_loss_grad(kind, model, gens, X, **kwargs)
+    assert (len(calls) > 0) == (kind == "igfe")
 
 
 @pytest.mark.parametrize("kind, kwargs", [
