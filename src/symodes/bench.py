@@ -37,6 +37,7 @@ DIVERGENCE_NORM = 1e6
 NONCANONICAL = "<non-canonical>"
 
 METHODS = ("sindy", "equiv-c", "equiv-r", "gp", "equiv-gp-r")
+SYMMETRIC_METHODS = ("equiv-c", "equiv-r", "equiv-gp-r")
 
 
 def derive_seed(master, *path):
@@ -219,6 +220,20 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
 # -- benchmark configuration and workers -------------------------------------------
 
 
+def generators_for(system, users, generators=None):
+    """The generators given, or else those registered for `system`.
+
+    ValueError names the first of `users` that needs one and would get
+    none: a symmetric method, or a command such as nullspace.
+    """
+    gens = system.generators if generators is None else tuple(generators)
+    needy = [u for u in users if u in SYMMETRIC_METHODS or u not in METHODS]
+    if needy and not gens:
+        raise ValueError(f"{needy[0]} needs at least one generator, and "
+                         f"none is given or registered for {system.name}")
+    return gens
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     system: str
@@ -240,12 +255,13 @@ class BenchConfig:
                 raise ValueError(f"unknown method {m!r}; expected {METHODS}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        generators_for(get_system(self.system), self.methods, self.generators)
 
 
 def _fit_method(method, ds, lib, gens, dcfg):
     if method == "sindy":
         X, dX = ds.regression_arrays("train")
-        W = stlsq(lib.evaluate(X), dX, dcfg.threshold, dcfg.max_rounds)
+        W = stlsq(lib.evaluate(X), dX, dcfg.threshold)
         return SindyModel(lib, W, provenance={"method": "sindy"})
     if method == "equiv-c":
         return equiv_c_fit(ds, lib, gens, dcfg)
@@ -261,8 +277,7 @@ def _fit_method(method, ds, lib, gens, dcfg):
 def _bench_worker(args):
     bc, k = args
     system = get_system(bc.system)
-    gens = (system.generators if bc.generators is None
-            else tuple(bc.generators))
+    gens = generators_for(system, bc.methods, bc.generators)
     base_cfg = bc.discovery or DiscoveryConfig(
         threshold=system.data.threshold)
     t0 = time.perf_counter()
@@ -435,6 +450,13 @@ def _fmt_cell(v):
     return repr(float(v))
 
 
+def _csv_writer(fh, provenance):
+    """CSV writer with LF line endings, after provenance's `# k=v` lines."""
+    for k in sorted(provenance or {}):
+        fh.write(f"# {k}={provenance[k]}\n")
+    return csv.writer(fh, lineterminator="\n")
+
+
 def emit_report(report, outdir):
     """Write report.json, tables.csv, ltp.csv (deterministic) + timings.json."""
     os.makedirs(outdir, exist_ok=True)
@@ -447,10 +469,11 @@ def emit_report(report, outdir):
             json.dump(timings, fh, indent=2, sort_keys=True)
             fh.write("\n")
         report["timings"] = timings
+    prov = report.get("provenance")
     d = len(report["truth"]["term_sets"])
     eq_cols = [f"eq{i+1}" for i in range(d)]
     with open(os.path.join(outdir, "tables.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = _csv_writer(fh, prov)
         w.writerow(["method", "metric"] + eq_cols + ["all"])
         for m, agg in sorted(report["aggregates"].items()):
             for metric in ("success", "rmse_successful", "rmse_all"):
@@ -458,7 +481,7 @@ def emit_report(report, outdir):
                 row += [_fmt_cell(agg[metric][c]) for c in eq_cols + ["all"]]
                 w.writerow(row)
     with open(os.path.join(outdir, "ltp.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = _csv_writer(fh, prov)
         w.writerow(["method", "t", "mean", "std", "divergent", "n"])
         for m, curve in sorted(report["ltp"].items()):
             for j, t in enumerate(curve["checkpoints"]):

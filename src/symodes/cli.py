@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .bench import (METHODS, BenchConfig, _fit_method, emit_report,
-                    run_benchmark)
+                    generators_for, run_benchmark)
 from .constraint import assemble_equivariant_basis, materialize
-from .discover import DiscoveryConfig, GpConfig, OptimizerConfig
+from .discover import DiscoveryConfig, GpConfig
 from .dynamics import (NOISE_KINDS, SYSTEMS, NoiseSpec, SindyModel,
                        equation_strings, get_system, load_dataset,
                        make_dataset, sample_initial, save_dataset, split_rng)
@@ -40,7 +40,6 @@ class ConfigError(Exception):
 # -- config schema ---------------------------------------------------------------
 
 _NUM = {"type": "number"}
-_INT = {"type": "integer"}
 _NUM_OR_NULL = {"type": ["number", "null"]}
 
 _GENERATOR_SCHEMA = {
@@ -78,34 +77,20 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "threshold": {"type": "number", "minimum": 0},
-                "max_rounds": {"type": "integer", "minimum": 1},
-                "lambda_symm": _NUM_OR_NULL,
+                "lambda_symm": {"type": ["number", "null"], "minimum": 0},
                 "loss_kind": {"enum": list(LOSS_KINDS)},
                 "tau": _NUM,
                 "eps": _NUM,
-                "flow_steps": {"type": "integer", "minimum": 1},
                 "batch": {"type": "integer", "minimum": 1},
-                "lambda_grid": {"type": "array", "items": _NUM},
-                "optimizer": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"max_iters": _INT, "grad_tol": _NUM,
-                                   "memory": _INT},
-                },
+                "lambda_grid": {"type": "array",
+                                "items": {"type": "number", "minimum": 0}},
                 "gp": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "population": _INT, "generations": _INT,
-                        "p_crossover": _NUM, "p_subtree": _NUM,
-                        "p_point": _NUM, "max_depth": _INT,
-                        "parsimony": _NUM, "tournament": _INT,
-                        "operators": {"type": "array",
-                                      "items": {"type": "string"}},
-                        "constant_range": {"type": "array", "items": _NUM,
-                                           "minItems": 2, "maxItems": 2},
-                        "max_fit_samples": _INT, "penalty_points": _INT,
-                        "target_mse": _NUM,
+                        "population": {"type": "integer", "minimum": 1},
+                        "generations": {"type": "integer", "minimum": 0},
+                        "parsimony": _NUM,
                     },
                 },
             },
@@ -218,14 +203,15 @@ def _require(cfg, key, hint):
     return cfg[key]
 
 
-def _build_generators(cfg, dim, default=()):
-    if "generators" in cfg:
-        try:
-            return tuple(Generator.from_config(g, dim)
-                         for g in cfg["generators"])
-        except Exception as exc:
-            raise ConfigError(f"config error at generators: {exc}")
-    return tuple(default)
+def _build_generators(cfg, system, users):
+    """The generators `users` use: the config's, or else the registry's."""
+    try:
+        given = (tuple(Generator.from_config(g, system.dim)
+                       for g in cfg["generators"])
+                 if "generators" in cfg else None)
+        return generators_for(system, users, given)
+    except Exception as exc:
+        raise ConfigError(f"config error at generators: {exc}")
 
 
 def _build_library(cfg, system):
@@ -262,16 +248,11 @@ def _data_overrides(cfg, system):
 
 def _build_discovery(cfg, system, master):
     section = dict(cfg.get("discovery", {}))
-    opt = OptimizerConfig(**section.pop("optimizer", {}))
-    gp_kw = section.pop("gp", {})
-    for key in ("operators", "constant_range"):
-        if key in gp_kw:
-            gp_kw[key] = tuple(gp_kw[key])
-    gp = GpConfig(**gp_kw)
+    gp = GpConfig(**section.pop("gp", {}))
     if "lambda_grid" in section:
         section["lambda_grid"] = tuple(section["lambda_grid"])
     section.setdefault("threshold", system.data.threshold)
-    return DiscoveryConfig(seed=master, optimizer=opt, gp=gp, **section)
+    return DiscoveryConfig(seed=master, gp=gp, **section)
 
 
 def _outdir(cfg):
@@ -284,15 +265,6 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def _stamp_csv(path, prov):
-    """Prepend provenance comment lines to an emitted CSV."""
-    with open(path) as fh:
-        body = fh.read()
-    header = "".join(f"# {k}={prov[k]}\n" for k in sorted(prov))
-    with open(path, "w") as fh:
-        fh.write(header + body)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -316,11 +288,7 @@ def cmd_generate(cfg):
 def cmd_nullspace(cfg):
     system = get_system(_require(cfg, "system", "nullspace needs a system"))
     lib = _build_library(cfg, system)
-    gens = _build_generators(cfg, system.dim, system.generators)
-    if not gens:
-        raise ConfigError(
-            "config error at generators: nullspace needs at least one "
-            "generator (the chosen system has none registered)")
+    gens = _build_generators(cfg, system, ("nullspace",))
     basis = assemble_equivariant_basis(lib, gens)
     print(f"r = {basis.nullity}")
     shown = min(basis.nullity, 8)
@@ -353,11 +321,7 @@ def cmd_check_symmetry(cfg):
                                  "check-symmetry needs a system"))
     points = cfg.get("check", {}).get("points", 200)
     tol = cfg.get("check", {}).get("tol", 1e-8)
-    gens = _build_generators(cfg, system.dim, system.generators)
-    if not gens:
-        raise ConfigError(
-            "config error at generators: check-symmetry needs at least one "
-            "generator (the chosen system has none registered)")
+    gens = _build_generators(cfg, system, ("check-symmetry",))
     master = cfg.get("seeds", {}).get("master", 0)
     rng = split_rng(master, 0)
     pts = np.array([sample_initial(system, rng) for _ in range(points)])
@@ -395,11 +359,7 @@ def cmd_discover(cfg):
             "config error at system: discover needs a system or a dataset")
     method = cfg.get("method", "equiv-c")
     lib = _build_library(cfg, system)
-    gens = _build_generators(cfg, system.dim, system.generators)
-    if method in ("equiv-c", "equiv-r", "equiv-gp-r") and not gens:
-        raise ConfigError(
-            f"config error at generators: method {method} needs at least "
-            "one generator")
+    gens = _build_generators(cfg, system, (method,))
     dcfg = _build_discovery(cfg, system, master)
     model = _fit_method(method, ds, lib, gens, dcfg)
     print(f"discovered ({method} on {system.name}):")
@@ -435,25 +395,23 @@ def cmd_benchmark(cfg):
     section = {k: tuple(v) if isinstance(v, list) else v
                for k, v in cfg.get("benchmark", {}).items()}
     data = _data_overrides(cfg, system)
+    gens = _build_generators(cfg, system,
+                             section.get("methods", BenchConfig.methods))
     bc = BenchConfig(
         system=system.name,
         seed=master,
         noise=data.pop("noise", None),
         discovery=(_build_discovery(cfg, system, master)
                    if "discovery" in cfg else None),
-        generators=(_build_generators(cfg, system.dim)
-                    if "generators" in cfg else None),
+        generators=gens if "generators" in cfg else None,
         data=tuple(data.items()),
         jobs=cfg.get("jobs", 1),
         **section,
     )
     report = run_benchmark(bc)
-    prov = _provenance(cfg)
-    report["provenance"] = prov
+    report["provenance"] = _provenance(cfg)
     outdir = _outdir(cfg)
     emit_report(report, outdir)
-    _stamp_csv(os.path.join(outdir, "tables.csv"), prov)
-    _stamp_csv(os.path.join(outdir, "ltp.csv"), prov)
     print(f"benchmark {system.name}: {bc.runs} runs, methods "
           f"{', '.join(bc.methods)}")
     for m in bc.methods:

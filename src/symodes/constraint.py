@@ -50,14 +50,6 @@ class EquivariantBasis:
     def nullity(self):
         return self.Q.shape[1]
 
-    @property
-    def dim(self):
-        return self.lib.dim
-
-    @property
-    def size(self):
-        return self.lib.size
-
 
 def vec(W):
     """Column-major vectorization; index k = i + d*mu for W[i, mu]."""
@@ -122,7 +114,7 @@ def materialize(basis, beta):
     if beta.shape != (basis.nullity,):
         raise ValueError(
             f"beta must have shape ({basis.nullity},), got {beta.shape}")
-    return unvec(basis.Q @ beta, basis.dim, basis.size)
+    return unvec(basis.Q @ beta, basis.lib.dim, basis.lib.size)
 
 
 def constraint_residual(basis, W):

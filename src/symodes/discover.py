@@ -38,47 +38,41 @@ from .constraint import assemble_equivariant_basis, materialize
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
 from .expressions import (Expr, evaluate, evaluate_all, expand, monomial,
                           to_string)
-from .symmetry import (DEFAULT_FLOW_STEPS, DegenerateLossError,
+from .symmetry import (DEFAULT_EPS, DegenerateLossError,
                        precompute_transforms, symmetry_loss_grad)
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 500
-    grad_tol: float = 1e-8
-    memory: int = 10
+# Fixed settings of the fitters; no caller varies them.
+THRESHOLD_ROUNDS = 10               # refits after the first, at most
+LBFGS_OPTIONS = {"maxiter": 500, "gtol": 1e-8, "maxcor": 10, "ftol": 1e-15}
+GP_P_CROSSOVER = 0.7                # else subtree or point mutation, or a copy
+GP_P_SUBTREE = 0.2
+GP_P_POINT = 0.1
+GP_MAX_DEPTH = 8                    # a deeper child is replaced by its parent
+GP_TOURNAMENT = 3
+GP_OPERATORS = ("+", "-", "*", "/", "exp")
+GP_CONSTANT_RANGE = (-2.0, 2.0)     # random constants are uniform on it
+GP_MAX_FIT_SAMPLES = 512            # fit rows, subsampled beyond this
+GP_PENALTY_POINTS = 128             # fit rows transformed per generator
+GP_TARGET_MSE = 1e-12               # evolution stops once the best reaches it
 
 
 @dataclass(frozen=True)
 class GpConfig:
     population: int = 256
     generations: int = 100
-    p_crossover: float = 0.7
-    p_subtree: float = 0.2
-    p_point: float = 0.1
-    max_depth: int = 8
     parsimony: float = 1e-3
-    tournament: int = 3
-    operators: tuple = ("+", "-", "*", "/", "exp")
-    constant_range: tuple = (-2.0, 2.0)
-    max_fit_samples: int = 512
-    penalty_points: int = 128
-    target_mse: float = 1e-12
 
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
     threshold: float = 0.05
-    max_rounds: int = 10
     lambda_symm: float = None        # None selects from lambda_grid on val
     loss_kind: str = "igie"
     tau: float = 0.2
-    eps: float = 0.1
-    flow_steps: int = DEFAULT_FLOW_STEPS
+    eps: float = DEFAULT_EPS
     batch: int = 512
     seed: int = 0
     lambda_grid: tuple = (0.01, 0.1, 1.0)
-    optimizer: OptimizerConfig = OptimizerConfig()
     gp: GpConfig = GpConfig()
 
     def __post_init__(self):
@@ -105,20 +99,20 @@ def _validation_data(dataset):
 # -- sequential thresholding -----------------------------------------------------
 
 
-def _threshold_rounds(fit, shape, threshold, max_rounds):
+def _threshold_rounds(fit, shape, threshold):
     """Sequential thresholding shared by the W-linear fitters.
 
     fit(active) returns a W of the given shape that is zero outside the
     boolean support `active`.  Each round drops the active entries with
     |W| < threshold and refits on the rest, so supports only shrink; at most
-    1 + max(1, max_rounds) fits run, and a zero threshold is a single fit.
+    1 + THRESHOLD_ROUNDS fits run, and a zero threshold is a single fit.
     Returns (W, active).
     """
     active = np.ones(shape, dtype=bool)
     W = fit(active)
     if threshold == 0.0:
         return W, active
-    for _ in range(max(1, int(max_rounds))):
+    for _ in range(THRESHOLD_ROUNDS):
         small = active & (np.abs(W) < threshold)
         if not small.any():
             break
@@ -127,7 +121,7 @@ def _threshold_rounds(fit, shape, threshold, max_rounds):
     return W, active
 
 
-def stlsq(Theta, dX, threshold, max_rounds=10):
+def stlsq(Theta, dX, threshold):
     """W minimizing ||dX - Theta W^T|| with hard-thresholded refits.
 
     Each round solves per-dimension least squares on the surviving support,
@@ -161,7 +155,7 @@ def stlsq(Theta, dX, threshold, max_rounds=10):
             W[i, idx] = coef
         return W
 
-    return _threshold_rounds(refit, (d, p), threshold, max_rounds)[0]
+    return _threshold_rounds(refit, (d, p), threshold)[0]
 
 
 # -- constrained regression in the equivariant subspace -------------------------
@@ -195,7 +189,7 @@ def equiv_c_fit(dataset, lib, gens, cfg=None):
                                    rcond=None)
         return materialize(basis, beta)
 
-    W, active = _threshold_rounds(fit, (d, p), cfg.threshold, cfg.max_rounds)
+    W, active = _threshold_rounds(fit, (d, p), cfg.threshold)
     pins = [(int(i), int(mu)) for i, mu in np.argwhere(~active)]
     prov = {"method": "equiv-c", "nullities": nullities, "pins": pins,
             "threshold": cfg.threshold}
@@ -231,7 +225,7 @@ def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
             try:
                 ls, Gs = symmetry_loss_grad(
                     cfg.loss_kind, SindyModel(lib, W), gens, Xb,
-                    tau=cfg.tau, eps=cfg.eps, steps=cfg.flow_steps)
+                    tau=cfg.tau, eps=cfg.eps)
             except DegenerateLossError as exc:
                 raise _NonFiniteLoss(str(exc))
             f += lam * float(ls)
@@ -254,10 +248,7 @@ def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
 
     res = scipy.optimize.minimize(
         objective, W0[mask], jac=True, method="L-BFGS-B", callback=callback,
-        options={"maxiter": cfg.optimizer.max_iters,
-                 "gtol": cfg.optimizer.grad_tol,
-                 "maxcor": cfg.optimizer.memory,
-                 "ftol": 1e-15})
+        options=LBFGS_OPTIONS)
     if best["w"] is not None and best["f"] < res.fun:
         w, f = best["w"], best["f"]
     else:
@@ -295,7 +286,7 @@ def _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb):
         W_prev = W
         return W
 
-    W, _ = _threshold_rounds(fit, (d, p), cfg.threshold, cfg.max_rounds)
+    W, _ = _threshold_rounds(fit, (d, p), cfg.threshold)
     return W, {"rounds": rounds, "lambda": lam_eff, "halved": halved,
                "converged": converged}
 
@@ -307,7 +298,9 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
     configured symmetry loss, evaluated on a fixed subsample of
     min(cfg.batch, N) of the N training states.  When cfg.lambda_symm is
     None the weight is picked from cfg.lambda_grid by equation error on the
-    validation split (0.1 if there is none).
+    validation split (0.1 if there is none).  An empty gens runs one fit
+    with lambda 0, i.e. thresholded least squares by L-BFGS-B; the CLI and
+    the benchmark refuse equiv-r without a generator instead.
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
@@ -350,16 +343,16 @@ def gp_evaluate(e, X):
     return evaluate(e, X, protected=True)
 
 
-def _random_tree(rng, dim, depth, ops, crange, full):
+def _random_tree(rng, dim, depth, full):
     if depth <= 1 or (not full and rng.random() < 0.3):
         if rng.random() < 0.5:
             return Expr.var(int(rng.integers(dim)))
-        return Expr.const(float(rng.uniform(*crange)))
-    op = ops[int(rng.integers(len(ops)))]
+        return Expr.const(float(rng.uniform(*GP_CONSTANT_RANGE)))
+    op = GP_OPERATORS[int(rng.integers(len(GP_OPERATORS)))]
     if op == "exp":
-        return Expr.exp(_random_tree(rng, dim, depth - 1, ops, crange, full))
-    a = _random_tree(rng, dim, depth - 1, ops, crange, full)
-    b = _random_tree(rng, dim, depth - 1, ops, crange, full)
+        return Expr.exp(_random_tree(rng, dim, depth - 1, full))
+    a = _random_tree(rng, dim, depth - 1, full)
+    b = _random_tree(rng, dim, depth - 1, full)
     return _GP_BINOPS[op](a, b)
 
 
@@ -367,10 +360,9 @@ def _initial_population(rng, dim, cfg):
     # ramped half-and-half over depths 2..6
     pop = []
     for i in range(cfg.population):
-        depth = min(2 + (i % 5), cfg.max_depth)
+        depth = min(2 + (i % 5), GP_MAX_DEPTH)
         full = (i // 5) % 2 == 0
-        pop.append(_random_tree(rng, dim, depth, cfg.operators,
-                                cfg.constant_range, full))
+        pop.append(_random_tree(rng, dim, depth, full))
     return pop
 
 
@@ -408,22 +400,22 @@ def _crossover(a, b, rng):
     return _replace_node(a, ka, _subtree(b, kb))
 
 
-def _subtree_mutation(e, rng, dim, cfg):
+def _subtree_mutation(e, rng, dim):
     k = int(rng.integers(e.size))
-    sub = _random_tree(rng, dim, 3, cfg.operators, cfg.constant_range, False)
+    sub = _random_tree(rng, dim, 3, False)
     return _replace_node(e, k, sub)
 
 
-def _point_mutation(e, rng, dim, cfg):
+def _point_mutation(e, rng, dim):
     k = int(rng.integers(e.size))
     t = _subtree(e, k)
     if t.kind == "const":
-        width = cfg.constant_range[1] - cfg.constant_range[0]
+        width = GP_CONSTANT_RANGE[1] - GP_CONSTANT_RANGE[0]
         new = Expr.const(t.value + 0.1 * width * rng.standard_normal())
     elif t.kind == "var":
         new = Expr.var(int(rng.integers(dim)))
     elif t.kind in ("add", "sub", "mul", "div"):
-        names = [o for o in cfg.operators if o in _GP_BINOPS]
+        names = [o for o in GP_OPERATORS if o in _GP_BINOPS]
         new = _GP_BINOPS[names[int(rng.integers(len(names)))]](*t.children)
     else:
         return e
@@ -587,23 +579,23 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
     best_e, best_f = pop[j], fits[j]
     history = [best_f[0]]
     for _ in range(cfg.generations):
-        if best_f[1] <= cfg.target_mse:
+        if best_f[1] <= GP_TARGET_MSE:
             break
         newpop = [best_e]
         while len(newpop) < cfg.population:
-            parent = _tournament(pop, fits, rng, cfg.tournament)
+            parent = _tournament(pop, fits, rng, GP_TOURNAMENT)
             r = rng.random()
-            if r < cfg.p_crossover:
+            if r < GP_P_CROSSOVER:
                 child = _crossover(parent,
-                                   _tournament(pop, fits, rng, cfg.tournament),
+                                   _tournament(pop, fits, rng, GP_TOURNAMENT),
                                    rng)
-            elif r < cfg.p_crossover + cfg.p_subtree:
-                child = _subtree_mutation(parent, rng, X.shape[-1], cfg)
-            elif r < cfg.p_crossover + cfg.p_subtree + cfg.p_point:
-                child = _point_mutation(parent, rng, X.shape[-1], cfg)
+            elif r < GP_P_CROSSOVER + GP_P_SUBTREE:
+                child = _subtree_mutation(parent, rng, X.shape[-1])
+            elif r < GP_P_CROSSOVER + GP_P_SUBTREE + GP_P_POINT:
+                child = _point_mutation(parent, rng, X.shape[-1])
             else:
                 child = parent
-            if child.height > cfg.max_depth:
+            if child.height > GP_MAX_DEPTH:
                 child = parent
             newpop.append(child)
         pop = newpop
@@ -641,22 +633,23 @@ def gp_fit(dataset, cfg=None, symmetry=()):
     when None).  It compares candidates at precomputed transformed points
     against the pushed-forward measured derivatives; those points join the
     fit points in each candidate's one tree evaluation, so the penalty adds
-    cfg.gp.penalty_points rows per generator to it.
+    GP_PENALTY_POINTS rows (fewer if there are fewer fit rows) per
+    generator to it.  An empty symmetry is plain GP, with provenance method
+    "gp"; the CLI and the benchmark refuse equiv-gp-r without a generator.
     """
     cfg = cfg or DiscoveryConfig()
-    g = cfg.gp
     X, dX = _regression_data(dataset)
     d = dX.shape[1]
     rng0 = split_rng(cfg.seed, 0)
-    if X.shape[0] > g.max_fit_samples:
-        keep = np.sort(rng0.choice(X.shape[0], size=g.max_fit_samples,
+    if X.shape[0] > GP_MAX_FIT_SAMPLES:
+        keep = np.sort(rng0.choice(X.shape[0], size=GP_MAX_FIT_SAMPLES,
                                    replace=False))
         X, dX = X[keep], dX[keep]
     lam = 0.0
     penalty_all = None
     if symmetry:
         lam = float(cfg.lambda_symm if cfg.lambda_symm is not None else 0.1)
-        np_pen = min(g.penalty_points, X.shape[0])
+        np_pen = min(GP_PENALTY_POINTS, X.shape[0])
         penalty_all = gp_penalty_data(symmetry, X[:np_pen], dX[:np_pen],
                                       float(cfg.eps))
     exprs, fits, histories = [], [], []
@@ -664,7 +657,7 @@ def gp_fit(dataset, cfg=None, symmetry=()):
         rng = split_rng(cfg.seed, 1 + i)
         penalty = ([(gX, T[:, i]) for gX, T in penalty_all]
                    if penalty_all else None)
-        e, f, hist = _evolve_dimension(X, dX[:, i], g, rng, penalty, lam)
+        e, f, hist = _evolve_dimension(X, dX[:, i], cfg.gp, rng, penalty, lam)
         e = refit_constants(e, X, dX[:, i])
         exprs.append(e)
         fits.append(f)

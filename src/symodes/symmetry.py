@@ -455,11 +455,11 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
             du = Sd - np.einsum("nij,njma->nima", Jv_end, Sy)
             acc.add(u, de, du, Sd)
     else:  # fgfe
+        y2, S2 = _flow_with_sensitivity(W, lib, X, tau, steps)
         for gen in generators:
             g = GroupElement(gen, eps, steps)
             gX = g.transform(X)
             y1, S1 = _flow_with_sensitivity(W, lib, gX, tau, steps)
-            y2, S2 = _flow_with_sensitivity(W, lib, X, tau, steps)
             gfx = g.transform(y2)
             Jg2 = g.jacobian(y2)
             u = y1 - gfx

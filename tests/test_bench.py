@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from symodes import bench
 from symodes.bench import (NONCANONICAL, BenchConfig, aggregate_records,
                            derive_seed, emit_report, load_report,
                            long_term_error, rmse_params, run_benchmark,
@@ -15,6 +16,7 @@ from symodes.discover import GpResult, SindyModel
 from symodes.dynamics import NoiseSpec, get_system
 from symodes.expressions import parse
 from symodes.library import build_library
+from symodes.symmetry import Generator
 
 
 def record(method, coeff_rows, truth_sets, error=""):
@@ -259,6 +261,25 @@ def test_bench_config_validation():
         BenchConfig(system="oscillator", runs=0)
 
 
+@pytest.mark.parametrize("method", ["equiv-c", "equiv-r", "equiv-gp-r"])
+def test_bench_config_needs_a_generator_for_symmetric_methods(method,
+                                                               monkeypatch):
+    # The config is refused before any data is generated; explicit
+    # generators make it valid, and an explicit empty tuple does not.
+    built = []
+    monkeypatch.setattr(bench, "make_dataset",
+                        lambda *a, **k: built.append(a))
+    with pytest.raises(ValueError, match=method):
+        BenchConfig(system="glycolytic", methods=("sindy", method))
+    with pytest.raises(ValueError, match=method):
+        BenchConfig(system="oscillator", methods=(method,), generators=())
+    assert built == []
+    scaling = Generator.linear(np.eye(2))
+    BenchConfig(system="glycolytic", methods=("sindy", method),
+                generators=(scaling,))
+    BenchConfig(system="glycolytic", methods=("sindy", "gp"))
+
+
 def bench_small(jobs=1, runs=2):
     return BenchConfig(
         system="oscillator", methods=("sindy", "equiv-c"), runs=runs,
@@ -327,6 +348,25 @@ def test_emit_report_tables_and_na_cells(tmp_path):
         assert len(wall) == 2 and all(w > 0.0 for w in wall)
     back = load_report(str(out / "report.json"))
     assert back["aggregates"].keys() == report["aggregates"].keys()
+
+
+def test_emit_report_provenance_lines_and_lf_endings(tmp_path):
+    truth = [{"x1": 1.0}]
+    recs = [record("m", [{"x1": 1.0}], [["x1"]])]
+    report = {"truth": {"term_sets": [["x1"]], "coefficients": truth},
+              "records": recs, "aggregates": aggregate_records(recs, truth),
+              "ltp": {"m": {"checkpoints": [1.0], "mean": [0.5],
+                            "std": [None], "divergent": [0], "n": [1]}}}
+    emit_report(report, str(tmp_path / "plain"))
+    report["provenance"] = {"tool_version": "9.9", "master_seed": 4,
+                            "config_hash": "ab"}
+    emit_report(report, str(tmp_path / "stamped"))
+    for fname in ("tables.csv", "ltp.csv"):
+        plain = (tmp_path / "plain" / fname).read_bytes()
+        stamped = (tmp_path / "stamped" / fname).read_bytes()
+        assert plain.startswith(b"method,") and b"\r" not in plain
+        assert stamped == (b"# config_hash=ab\n# master_seed=4\n"
+                           b"# tool_version=9.9\n" + plain)
 
 
 def test_load_report_accepts_truth_terms_in_sorted_order(tmp_path):

@@ -11,6 +11,7 @@ from symodes import __version__
 from symodes import cli
 from symodes.bench import BenchConfig, _config_snapshot
 from symodes.cli import config_hash, main, validate_config
+from symodes.discover import DiscoveryConfig, GpConfig
 
 
 def run_cli(*argv):
@@ -38,6 +39,14 @@ def test_validate_config_reports_offending_path():
     with pytest.raises(Exception) as exc:
         validate_config({"system": "oscillator", "data": {"dt": -1.0}})
     assert "data.dt" in str(exc.value)
+
+
+def test_discovery_schema_keys_are_the_config_fields():
+    # A field added to only one of the dataclass and the schema fails here.
+    section = cli.CONFIG_SCHEMA["properties"]["discovery"]["properties"]
+    assert set(section) == set(DiscoveryConfig.__dataclass_fields__) - {"seed"}
+    assert set(section["gp"]["properties"]) == \
+        set(GpConfig.__dataclass_fields__)
 
 
 def test_config_hash_ignores_out_and_jobs():
@@ -116,6 +125,48 @@ def test_help_and_version_still_exit_0(capsys):
     res = subprocess.run([sys.executable, "-m", "symodes.cli"],
                          capture_output=True, text=True)
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("discovery, path", [
+    ({"lambda_symm": -1.0}, "discovery.lambda_symm"),
+    ({"lambda_grid": [0.1, -0.5]}, "discovery.lambda_grid.1"),
+    ({"gp": {"population": 0}}, "discovery.gp.population"),
+    ({"gp": {"generations": -1}}, "discovery.gp.generations"),
+    # fixed settings, not config keys
+    ({"optimizer": {"max_iters": 5}}, "'optimizer'"),
+    ({"gp": {"tournament": 5}}, "'tournament'"),
+    ({"max_rounds": 3}, "'max_rounds'"),
+    ({"flow_steps": 8}, "'flow_steps'"),
+])
+def test_bad_discovery_values_exit_1(tmp_path, capsys, discovery, path):
+    cfg = write_config(tmp_path, {"system": "oscillator",
+                                  "method": "equiv-gp-r",
+                                  "discovery": discovery})
+    assert run_cli("discover", "--config", cfg) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_negative_lambda_flag_exits_1(capsys):
+    assert run_cli("discover", "--system", "oscillator", "--method",
+                   "equiv-r", "--lambda", "-1") == 1
+    assert "discovery.lambda_symm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, user", [
+    (["benchmark", "--methods", "sindy,equiv-gp-r"], "equiv-gp-r"),
+    (["benchmark", "--methods", "gp,equiv-r"], "equiv-r"),
+    (["discover", "--method", "equiv-c"], "equiv-c"),
+    (["nullspace"], "nullspace"),
+    (["check-symmetry"], "check-symmetry"),
+])
+def test_a_user_of_generators_without_any_exits_1(tmp_path, capsys, argv,
+                                                  user):
+    # glycolytic registers no generator; nothing may run in their place.
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--system", "glycolytic", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "config error at generators" in err and user in err
+    assert not out.exists()
 
 
 def test_missing_dataset_exits_2(tmp_path):
@@ -296,6 +347,23 @@ def test_benchmark_artifacts_and_provenance(tmp_path, capsys):
         assert any(line.startswith("# master_seed=") for line in head)
     agg = report["aggregates"]
     assert agg["equiv-c"]["success"]["all"] == 1.0
+
+
+def test_explicit_generators_make_a_symmetric_benchmark_valid(tmp_path):
+    out = tmp_path / "bench"
+    cfg = write_config(tmp_path, {
+        "system": "glycolytic",
+        "generators": [{"kind": "linear", "matrix": [[1.0, 0.0],
+                                                      [0.0, 1.0]]}],
+        "benchmark": {"methods": ["sindy", "equiv-gp-r"], "runs": 1,
+                      "n_checkpoints": 2, "ltp_ics": 1},
+        "data": {"n_samples": 40, "n_train": 2, "n_val": 0, "n_test": 1},
+        "discovery": {"gp": {"population": 8, "generations": 1}},
+        "out": str(out)})
+    assert run_cli("benchmark", "--config", cfg) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [r["error"] for r in report["records"]] == ["", ""]
+    assert len(report["config"]["generators"]) == 1
 
 
 class _Stop(Exception):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from symodes import symmetry
 from symodes.discover import SindyModel
 from symodes.library import FunctionLibrary, TermKey, build_library
 from symodes.symmetry import (DegenerateLossError, Generator, GroupElement,
@@ -222,6 +223,28 @@ def test_only_the_igfe_gradient_uses_second_derivatives(kind, monkeypatch):
     assert len(calls) == 0
     symmetry_loss_grad(kind, model, gens, X, **kwargs)
     assert (len(calls) > 0) == (kind == "igfe")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fgfe_gradient_integrates_the_flow_of_x_once(k, monkeypatch):
+    # The flow of X and its W-sensitivity do not depend on the generator:
+    # one integration for X plus one per transformed g X.
+    calls = []
+    flow = symmetry._flow_with_sensitivity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "_flow_with_sensitivity", counted)
+    gens = [Generator.linear(m) for m in
+            (ROTATION, np.eye(2), np.diag([1.0, -1.0]))][:k]
+    model = broken_model()
+    X = np.random.default_rng(9).normal(size=(6, 2)) + 1.0
+    val, _ = symmetry_loss_grad("fgfe", model, gens, X, tau=0.2)
+    assert len(calls) == k + 1
+    assert val == pytest.approx(
+        symmetry_loss("fgfe", model, gens, X, tau=0.2), rel=1e-10)
 
 
 @pytest.mark.parametrize("kind, kwargs", [
