@@ -106,8 +106,9 @@ def rmse_params(records, truth_coeffs, mode="successful", scope="joint"):
 
     mode "successful" keeps only runs whose relevant success flag is set
     (joint flag for scope "joint", per-equation flag otherwise); with zero
-    such runs the result is None (reported as N/A).  scope "per-eq" returns
-    a list with one value per equation.
+    such runs the result is None (reported as N/A).  A failed fit's record
+    has no terms and no flag set.  scope "per-eq" returns a list with one
+    value per equation.
     """
     if scope == "per-eq":
         return [_rmse_one(records, truth_coeffs, mode, i)
@@ -119,19 +120,13 @@ def _rmse_one(records, truth_coeffs, mode, eq):
     total = 0.0
     K = 0
     for rec in records:
-        if rec["error"]:
-            if mode == "successful":
-                continue
-            ok = False
-        else:
-            ok = rec["joint_success"] if eq is None else rec["eq_success"][eq]
+        ok = rec["joint_success"] if eq is None else rec["eq_success"][eq]
         if mode == "successful" and not ok:
             continue
         K += 1
         eqs = range(len(truth_coeffs)) if eq is None else (eq,)
         for i in eqs:
-            coeffs = rec["coefficients"][i] if not rec["error"] else {}
-            total += _sq_err(coeffs, truth_coeffs[i])
+            total += _sq_err(rec["coefficients"][i], truth_coeffs[i])
     if K == 0:
         return None
     return float(np.sqrt(total / K))
@@ -301,32 +296,24 @@ def _bench_worker(args):
         dcfg = replace(base_cfg, seed=fit_seed)
         t0 = time.perf_counter()
         err = ""
-        model = None
         try:
             model = _fit_method(method, ds, lib, gens, dcfg)
         except Exception as exc:
             err = f"{type(exc).__name__}: {exc}"
-        wall = time.perf_counter() - t0
-        timings[method] = wall
-        if err:
-            d = system.dim
-            records.append({"run": k, "seed": fit_seed, "method": method,
-                            "term_sets": [[]] * d,
-                            "coefficients": [{}] * d,
-                            "eq_success": [False] * d,
-                            "joint_success": False, "error": err})
-            continue
-        sets = term_set(model, lib, min_coef=dcfg.threshold)
+        timings[method] = time.perf_counter() - t0
+        if err:  # empty term sets, which match no truth set
+            sets = [((), {})] * system.dim
+        else:
+            sets = term_set(model, lib, min_coef=dcfg.threshold)
+            models[method] = model
         labels = [s for s, _ in sets]
-        coeffs = [c for _, c in sets]
         flags, joint = success(labels, truth_sets)
         records.append({
             "run": k, "seed": fit_seed, "method": method,
             "term_sets": [list(s) if s != NONCANONICAL else NONCANONICAL
                           for s in labels],
-            "coefficients": coeffs,
-            "eq_success": flags, "joint_success": joint, "error": ""})
-        models[method] = model
+            "coefficients": [c for _, c in sets],
+            "eq_success": flags, "joint_success": joint, "error": err})
     t0 = time.perf_counter()
     ltp = (long_term_error(models, system, ics, horizon, checkpoints)
            if len(ics) and models else {})
@@ -430,18 +417,11 @@ def run_benchmark(bc):
 
 
 def _config_snapshot(bc):
-    def clean(v):
-        if isinstance(v, (NoiseSpec,)):
-            return {"kind": v.kind, "sigma": v.sigma}
-        if isinstance(v, DiscoveryConfig):
-            return json.loads(json.dumps(v, default=lambda o: o.__dict__))
-        if hasattr(v, "to_config"):
-            return v.to_config()
-        if isinstance(v, tuple):
-            return [clean(x) for x in v]
-        return v
+    """bc as JSON: to_config() where an object has one, else its fields."""
     # jobs is an execution knob: results must not depend on it
-    return {k: clean(v) for k, v in bc.__dict__.items() if k != "jobs"}
+    body = {k: v for k, v in bc.__dict__.items() if k != "jobs"}
+    return json.loads(json.dumps(body, default=lambda o: o.to_config()
+                                 if hasattr(o, "to_config") else o.__dict__))
 
 
 def _fmt_cell(v):

@@ -81,7 +81,6 @@ CONFIG_SCHEMA = {
                 "loss_kind": {"enum": list(LOSS_KINDS)},
                 "tau": _NUM,
                 "eps": _NUM,
-                "batch": {"type": "integer", "minimum": 1},
                 "lambda_grid": {"type": "array",
                                 "items": {"type": "number", "minimum": 0}},
                 "gp": {
@@ -261,10 +260,14 @@ def _outdir(cfg):
     return out
 
 
-def _write_json(path, payload):
+def _write_artifact(cfg, name, payload, what):
+    """Write payload and the provenance as sorted JSON to <out>/name."""
+    path = os.path.join(_outdir(cfg), name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump({**payload, "provenance": _provenance(cfg)}, fh, indent=2,
+                  sort_keys=True, allow_nan=False)
         fh.write("\n")
+    print(f"{what} written to {path}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -301,18 +304,14 @@ def cmd_nullspace(cfg):
     if shown < basis.nullity:
         print(f"... ({basis.nullity - shown} more basis elements in "
               "nullspace.json)")
-    outdir = _outdir(cfg)
-    path = os.path.join(outdir, "nullspace.json")
-    _write_json(path, {
+    _write_artifact(cfg, "nullspace.json", {
         "system": system.name,
         "library": lib.labels(),
         "generators": [g.to_config() for g in gens],
         "r": basis.nullity,
         "Q": basis.Q.tolist(),
         "singular_values": basis.singular_values.tolist(),
-        "provenance": _provenance(cfg),
-    })
-    print(f"basis written to {path}")
+    }, "basis")
     return 0
 
 
@@ -334,11 +333,9 @@ def cmd_check_symmetry(cfg):
               f"mean {entry['mean']:.3e}")
     verdict = "consistent" if report["consistent"] else "NOT consistent"
     print(f"symmetry check: {verdict}")
-    outdir = _outdir(cfg)
-    path = os.path.join(outdir, "check_symmetry.json")
-    _write_json(path, {"system": system.name, "n_points": points,
-                       "report": report, "provenance": _provenance(cfg)})
-    print(f"report written to {path}")
+    _write_artifact(cfg, "check_symmetry.json",
+                    {"system": system.name, "n_points": points,
+                     "report": report}, "report")
     return 0 if report["consistent"] else 3
 
 
@@ -350,6 +347,9 @@ def cmd_discover(cfg):
                 f"config error at data: {sorted(cfg['data'])} would generate "
                 "data, but --dataset loads a saved dataset")
         ds = load_dataset(cfg["dataset"])
+        if cfg.get("system", ds.system) != ds.system:
+            raise ConfigError("config error at system: the dataset's "
+                              f"system is {ds.system}")
         system = get_system(ds.system)
     elif "system" in cfg:
         system = get_system(cfg["system"])
@@ -369,7 +369,7 @@ def cmd_discover(cfg):
         "system": system.name,
         "method": method,
         "equations": model.equations(),
-        "provenance": _provenance(cfg),
+        "fit": model.provenance,
     }
     if isinstance(model, SindyModel):
         payload["library"] = lib.labels()
@@ -377,19 +377,17 @@ def cmd_discover(cfg):
         payload["coefficients"] = [
             {key.label(): val for key, val in row.items()}
             for row in model.coefficients()]
-        payload["fit"] = model.provenance
     else:
         payload["fitness"] = model.fitness
-        payload["fit"] = model.provenance
-    outdir = _outdir(cfg)
-    path = os.path.join(outdir, "model.json")
-    _write_json(path, payload)
-    print(f"model written to {path}")
+    _write_artifact(cfg, "model.json", payload, "model")
     return 0
 
 
 def cmd_benchmark(cfg):
     system = get_system(_require(cfg, "system", "benchmark needs a system"))
+    if "library" in cfg:
+        raise ConfigError("config error at library: benchmark scores every "
+                          "method in the system's registry library")
     master = cfg.get("seeds", {}).get("master", 0)
     # the benchmark section's keys are BenchConfig fields; its lists are tuples
     section = {k: tuple(v) if isinstance(v, list) else v

@@ -53,6 +53,7 @@ GP_OPERATORS = ("+", "-", "*", "/", "exp")
 GP_CONSTANT_RANGE = (-2.0, 2.0)     # random constants are uniform on it
 GP_MAX_FIT_SAMPLES = 512            # fit rows, subsampled beyond this
 GP_PENALTY_POINTS = 128             # fit rows transformed per generator
+EQUIV_R_PENALTY_POINTS = 512        # training states the equiv-r loss sees
 GP_TARGET_MSE = 1e-12               # evolution stops once the best reaches it
 
 
@@ -70,7 +71,6 @@ class DiscoveryConfig:
     loss_kind: str = "igie"
     tau: float = 0.2
     eps: float = DEFAULT_EPS
-    batch: int = 512
     seed: int = 0
     lambda_grid: tuple = (0.01, 0.1, 1.0)
     gp: GpConfig = GpConfig()
@@ -199,43 +199,34 @@ def equiv_c_fit(dataset, lib, gens, cfg=None):
 # -- regularized regression ------------------------------------------------------
 
 
-class _NonFiniteLoss(RuntimeError):
-    pass
-
-
-def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
+def _masked_minimize(W0, active, Theta, dX, lam, penalty):
     """One L-BFGS-B solve over the active entries of W.
 
-    Returns (W, converged, objective).  The per-iteration callback raises
+    Returns (W, converged).  The per-iteration callback raises
     RuntimeError if the objective increases across an accepted step; the
     best iterate seen is returned even if the optimizer stops early.
     """
     d, p = W0.shape
     N = Theta.shape[0]
-    mask = active
     best = {"f": np.inf, "w": None}
 
     def objective(w):
         W = np.zeros((d, p))
-        W[mask] = w
+        W[active] = w
         R = dX - Theta @ W.T
         f = float((R * R).sum()) / N
         G = (-2.0 / N) * (R.T @ Theta)
-        if lam > 0.0 and gens:
-            try:
-                ls, Gs = symmetry_loss_grad(
-                    cfg.loss_kind, SindyModel(lib, W), gens, Xb,
-                    tau=cfg.tau, eps=cfg.eps)
-            except DegenerateLossError as exc:
-                raise _NonFiniteLoss(str(exc))
+        if lam > 0.0:
+            ls, Gs = penalty(W)
             f += lam * float(ls)
             G = G + lam * Gs
         if not np.isfinite(f) or not np.all(np.isfinite(G)):
-            raise _NonFiniteLoss("objective is not finite")
+            raise FloatingPointError(
+                f"equiv-r objective at lambda {lam} is not finite")
         if f < best["f"]:
             best["f"] = f
             best["w"] = w.copy()
-        return f, G[mask]
+        return f, G[active]
 
     prev = None
 
@@ -247,20 +238,16 @@ def _masked_minimize(W0, active, Theta, dX, lib, gens, lam, cfg, Xb):
         prev = fk
 
     res = scipy.optimize.minimize(
-        objective, W0[mask], jac=True, method="L-BFGS-B", callback=callback,
+        objective, W0[active], jac=True, method="L-BFGS-B", callback=callback,
         options=LBFGS_OPTIONS)
-    if best["w"] is not None and best["f"] < res.fun:
-        w, f = best["w"], best["f"]
-    else:
-        w, f = res.x, float(res.fun)
     W = np.zeros((d, p))
-    W[mask] = w
-    return W, bool(res.success), f
+    W[active] = best["w"] if best["f"] < res.fun else res.x
+    return W, bool(res.success)
 
 
-def _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb):
+def _equiv_r_rounds(Theta, dX, lam, penalty, threshold):
     d = dX.shape[1]
-    p = lib.size
+    p = Theta.shape[1]
     W_prev = stlsq(Theta, dX, 0.0)
     lam_eff = lam
     halved = False
@@ -274,10 +261,10 @@ def _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb):
             return np.zeros((d, p))
         while True:
             try:
-                W, ok, _ = _masked_minimize(W_prev * active, active, Theta,
-                                            dX, lib, gens, lam_eff, cfg, Xb)
+                W, ok = _masked_minimize(W_prev * active, active, Theta, dX,
+                                         lam_eff, penalty)
                 break
-            except _NonFiniteLoss:
+            except (DegenerateLossError, FloatingPointError):
                 if halved or lam_eff == 0.0:
                     raise
                 lam_eff *= 0.5
@@ -286,7 +273,7 @@ def _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb):
         W_prev = W
         return W
 
-    W, _ = _threshold_rounds(fit, (d, p), cfg.threshold)
+    W, _ = _threshold_rounds(fit, (d, p), threshold)
     return W, {"rounds": rounds, "lambda": lam_eff, "halved": halved,
                "converged": converged}
 
@@ -296,18 +283,25 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
 
     Minimizes the mean squared equation error plus lambda times the
     configured symmetry loss, evaluated on a fixed subsample of
-    min(cfg.batch, N) of the N training states.  When cfg.lambda_symm is
-    None the weight is picked from cfg.lambda_grid by equation error on the
-    validation split (0.1 if there is none).  An empty gens runs one fit
-    with lambda 0, i.e. thresholded least squares by L-BFGS-B; the CLI and
-    the benchmark refuse equiv-r without a generator instead.
+    min(EQUIV_R_PENALTY_POINTS, N) of the N training states.  When
+    cfg.lambda_symm is None the weight is picked from cfg.lambda_grid by
+    equation error on the validation split (0.1 if there is none).  A
+    DegenerateLossError or non-finite objective halves lambda once; the
+    second raises (FloatingPointError if not finite).  An empty gens runs
+    one fit with lambda 0, i.e. thresholded least squares by L-BFGS-B;
+    the CLI and the benchmark refuse equiv-r without a generator.
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
     Theta = lib.evaluate(X)
     rng = split_rng(cfg.seed, 0)
-    nb = min(cfg.batch, X.shape[0])
+    nb = min(EQUIV_R_PENALTY_POINTS, X.shape[0])
     Xb = X[rng.choice(X.shape[0], size=nb, replace=False)]
+
+    def penalty(W):
+        return symmetry_loss_grad(cfg.loss_kind, SindyModel(lib, W), gens,
+                                  Xb, tau=cfg.tau, eps=cfg.eps)
+
     if not gens:
         lam_values = (0.0,)
     elif cfg.lambda_symm is not None:
@@ -317,7 +311,7 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
         lam_values = tuple(cfg.lambda_grid) if val is not None else (0.1,)
     results = []
     for lam in lam_values:
-        W, info = _equiv_r_rounds(Theta, dX, lib, gens, lam, cfg, Xb)
+        W, info = _equiv_r_rounds(Theta, dX, lam, penalty, cfg.threshold)
         results.append((lam, W, info))
     if len(results) == 1:
         lam, W, info = results[0]

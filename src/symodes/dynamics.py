@@ -29,7 +29,7 @@ from . import __version__ as _tool_version
 from .expressions import parse
 from .integrate import rk4_final, rk4_flow_tangents, rk4_record
 from .library import build_library, m_theta
-from .symmetry import DEFAULT_FLOW_STEPS, Generator
+from .symmetry import FLOW_STEPS, Generator
 
 INTERNAL_DT = 0.002
 NOISE_KINDS = ("additive_relative", "multiplicative", "none")
@@ -164,15 +164,15 @@ class SindyModel:
     def h_jacobian(self, X):
         return np.einsum("ip,...pj->...ij", self.W, self.lib.jacobian(X))
 
-    def flow(self, X, tau, steps=DEFAULT_FLOW_STEPS):
+    def flow(self, X, tau):
         X = np.atleast_2d(np.asarray(X, float))
-        return rk4_final(self.field(X.shape[:-1]), X, tau, steps)
+        return rk4_final(self.field(X.shape[:-1]), X, tau, FLOW_STEPS)
 
-    def flow_jvp(self, X, U, tau, steps=DEFAULT_FLOW_STEPS):
+    def flow_jvp(self, X, U, tau):
         X = np.atleast_2d(np.asarray(X, float))
         U = np.atleast_2d(np.asarray(U, float))
         y, V = rk4_flow_tangents(self.field(X.shape[:-1]), self.h_jacobian,
-                                 X, U[..., None], tau, steps)
+                                 X, U[..., None], tau, FLOW_STEPS)
         return y, V[..., 0]
 
     def coefficients(self):

@@ -42,7 +42,7 @@ from .integrate import IntegrationError, rk4_final, rk4_flow_tangents
 
 DENOM_TOL = 1e-30
 DEFAULT_EPS = 0.1
-DEFAULT_FLOW_STEPS = 64
+FLOW_STEPS = 64                 # RK4 steps of every group and model flow
 
 LOSS_KINDS = ("igfe", "fgfe", "fgie", "igie")
 
@@ -142,10 +142,9 @@ class Generator:
 class GroupElement:
     """Finite transform g = exp(eps * v) of a generator v."""
 
-    def __init__(self, generator, eps, steps=DEFAULT_FLOW_STEPS):
+    def __init__(self, generator, eps):
         self.generator = generator
         self.eps = float(eps)
-        self.steps = int(steps)
         self._A = (matrix_exponential(self.eps * generator.matrix)
                    if generator.is_linear else None)
 
@@ -156,10 +155,10 @@ class GroupElement:
             return X @ self._A.T
         if self.eps == 0.0:
             return X.copy()
-        Y = rk4_final(self.generator, X, self.eps, self.steps)
+        Y = rk4_final(self.generator, X, self.eps, FLOW_STEPS)
         if not np.all(np.isfinite(Y)):
             raise IntegrationError(
-                self.steps, "group flow diverged before reaching eps")
+                FLOW_STEPS, "group flow diverged before reaching eps")
         return Y
 
     def jacobian(self, X):
@@ -171,10 +170,10 @@ class GroupElement:
         if self.eps == 0.0:
             return np.broadcast_to(np.eye(d), X.shape[:-1] + (d, d)).copy()
         _, J = rk4_flow_tangents(self.generator, self.generator.jacobian,
-                                 X, np.eye(d), self.eps, self.steps)
+                                 X, np.eye(d), self.eps, FLOW_STEPS)
         if not np.all(np.isfinite(J)):
             raise IntegrationError(
-                self.steps, "group flow Jacobian diverged")
+                FLOW_STEPS, "group flow Jacobian diverged")
         return J
 
 
@@ -275,50 +274,47 @@ def loss_igie(oracle, generators, X):
     return acc.result()
 
 
-def loss_fgie(oracle, generators, X, eps=DEFAULT_EPS,
-              steps=DEFAULT_FLOW_STEPS):
+def loss_fgie(oracle, generators, X, eps=DEFAULT_EPS):
     """Equivariance defect of h under the finite transforms exp(eps v)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     h = oracle.h(X)
     acc = _Quotient()
-    for gx, Jg in precompute_transforms(generators, X, eps, steps):
+    for gx, Jg in precompute_transforms(generators, X, eps):
         jgh = np.einsum("nij,nj->ni", Jg, h)
         acc.add(jgh - oracle.h(gx), jgh)
     return acc.result()
 
 
-def loss_igfe(oracle, generators, X, tau, steps=DEFAULT_FLOW_STEPS):
+def loss_igfe(oracle, generators, X, tau):
     """Pushforward defect: flow Jacobian applied to v versus v at the endpoint."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     acc = _Quotient()
     for gen in generators:
-        y_end, jvp = oracle.flow_jvp(X, gen(X), tau, steps)
+        y_end, jvp = oracle.flow_jvp(X, gen(X), tau)
         acc.add(jvp - gen(y_end), jvp)
     return acc.result()
 
 
-def loss_fgfe(oracle, generators, X, tau, eps=DEFAULT_EPS,
-              steps=DEFAULT_FLOW_STEPS):
+def loss_fgfe(oracle, generators, X, tau, eps=DEFAULT_EPS):
     """Flow equivariance defect under the finite transforms exp(eps v)."""
     _check_loss_args("fgfe", tau, eps)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    fx = oracle.flow(X, tau, steps)
+    fx = oracle.flow(X, tau)
     acc = _Quotient()
     for gen in generators:
-        g = GroupElement(gen, eps, steps)
-        fgx = oracle.flow(g.transform(X), tau, steps)
+        g = GroupElement(gen, eps)
+        fgx = oracle.flow(g.transform(X), tau)
         gfx = g.transform(fx)
         acc.add(fgx - gfx, fgx - fx)
     return acc.result()
 
 
-def precompute_transforms(generators, X, eps=DEFAULT_EPS,
-                          steps=DEFAULT_FLOW_STEPS):
+def precompute_transforms(generators, X, eps=DEFAULT_EPS):
     """(g . X, J_g(X)) per generator."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = []
     for gen in generators:
-        g = GroupElement(gen, eps, steps)
+        g = GroupElement(gen, eps)
         out.append((g.transform(X), g.jacobian(X)))
     return out
 
@@ -333,17 +329,16 @@ def _check_loss_args(kind, tau, eps):
         raise ValueError("fgfe needs a nontrivial group element (eps != 0)")
 
 
-def symmetry_loss(kind, oracle, generators, X, tau=None, eps=DEFAULT_EPS,
-                  steps=DEFAULT_FLOW_STEPS):
+def symmetry_loss(kind, oracle, generators, X, tau=None, eps=DEFAULT_EPS):
     """Dispatch on loss kind; tau is required for the flow-based losses."""
     _check_loss_args(kind, tau, eps)
     if kind == "igie":
         return loss_igie(oracle, generators, X)
     if kind == "fgie":
-        return loss_fgie(oracle, generators, X, eps=eps, steps=steps)
+        return loss_fgie(oracle, generators, X, eps=eps)
     if kind == "igfe":
-        return loss_igfe(oracle, generators, X, tau, steps=steps)
-    return loss_fgfe(oracle, generators, X, tau, eps=eps, steps=steps)
+        return loss_igfe(oracle, generators, X, tau)
+    return loss_fgfe(oracle, generators, X, tau, eps=eps)
 
 
 # -- analytic gradients for W-linear models -----------------------------------
@@ -358,7 +353,7 @@ def _direct_term(coefs, d):
     return np.einsum("nm,ia->nima", coefs, np.eye(d))
 
 
-def _flow_with_sensitivity(W, lib, X, tau, steps, V0=None):
+def _flow_with_sensitivity(W, lib, X, tau, V0=None):
     """Integrate y (and optionally a tangent delta) with d/dW sensitivities.
 
     Returns (y, Sy) or (y, delta, Sy, Sdelta); S arrays have shape
@@ -400,11 +395,10 @@ def _flow_with_sensitivity(W, lib, X, tau, steps, V0=None):
                            + np.einsum("nij,njma->nima", Jh, Sd))
         return dz
 
-    return tuple(a.copy() for a in split(rk4_final(rhs, z0, tau, steps)))
+    return tuple(a.copy() for a in split(rk4_final(rhs, z0, tau, FLOW_STEPS)))
 
 
-def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
-                       steps=DEFAULT_FLOW_STEPS):
+def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS):
     """(loss, d loss / dW) for a W-linear model.
 
     `model` must expose W (d, p) and lib; SindyModel qualifies.  The flow
@@ -418,8 +412,6 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
     lib = model.lib
     d, p = W.shape
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if not generators:
-        return 0.0, np.zeros((d, p))
     acc = _Quotient((d, p))
 
     if kind == "igie":
@@ -439,7 +431,7 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
     elif kind == "fgie":
         Th = lib.evaluate(X)
         h = Th @ W.T
-        for gx, Jg in precompute_transforms(generators, X, eps, steps):
+        for gx, Jg in precompute_transforms(generators, X, eps):
             Thg = lib.evaluate(gx)
             s = np.einsum("nij,nj->ni", Jg, h)
             u = s - Thg @ W.T
@@ -448,18 +440,17 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS,
             acc.add(u, s, du, ds)
     elif kind == "igfe":
         for gen in generators:
-            y, de, Sy, Sd = _flow_with_sensitivity(W, lib, X, tau, steps,
-                                                   V0=gen(X))
+            y, de, Sy, Sd = _flow_with_sensitivity(W, lib, X, tau, V0=gen(X))
             Jv_end = gen.jacobian(y)
             u = de - gen(y)
             du = Sd - np.einsum("nij,njma->nima", Jv_end, Sy)
             acc.add(u, de, du, Sd)
     else:  # fgfe
-        y2, S2 = _flow_with_sensitivity(W, lib, X, tau, steps)
+        y2, S2 = _flow_with_sensitivity(W, lib, X, tau)
         for gen in generators:
-            g = GroupElement(gen, eps, steps)
+            g = GroupElement(gen, eps)
             gX = g.transform(X)
-            y1, S1 = _flow_with_sensitivity(W, lib, gX, tau, steps)
+            y1, S1 = _flow_with_sensitivity(W, lib, gX, tau)
             gfx = g.transform(y2)
             Jg2 = g.jacobian(y2)
             u = y1 - gfx

@@ -299,6 +299,31 @@ def test_run_benchmark_clean_data_everything_succeeds():
     assert "ltp" in report and "sindy" in report["ltp"]
 
 
+def test_a_failed_fit_is_recorded_with_empty_terms(monkeypatch):
+    # A fit that raises gets the record of an empty model: no terms, no
+    # coefficients, no success.  It gets no LTP curve, scores every truth
+    # term as missing in rmse_all, and leaves the other method unchanged.
+    want = run_benchmark(bench_small(runs=1))
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(bench, "equiv_c_fit", boom)
+    got = run_benchmark(bench_small(runs=1))
+    sindy, failed = got["records"]
+    assert sindy == want["records"][0]
+    assert failed == {**want["records"][1], "term_sets": [[], []],
+                      "coefficients": [{}, {}],
+                      "eq_success": [False, False], "joint_success": False,
+                      "error": "RuntimeError: boom"}
+    assert got["ltp"] == {"sindy": want["ltp"]["sindy"]}
+    agg = got["aggregates"]["equiv-c"]
+    assert agg["n_failed"] == 1 and agg["rmse_successful"]["all"] is None
+    truth = [v for c in got["truth"]["coefficients"] for v in c.values()]
+    assert agg["rmse_all"]["all"] == pytest.approx(
+        np.sqrt(sum(v * v for v in truth)))
+
+
 def test_run_benchmark_reports_are_reproducible_across_jobs(tmp_path):
     r1 = run_benchmark(bench_small(jobs=1))
     r2 = run_benchmark(bench_small(jobs=2))

@@ -49,6 +49,16 @@ def test_discovery_schema_keys_are_the_config_fields():
         set(GpConfig.__dataclass_fields__)
 
 
+def test_benchmark_schema_keys_are_the_bench_config_fields():
+    # cmd_benchmark passes the benchmark section to BenchConfig as keywords,
+    # so a key without a field would raise TypeError there (exit 2); the
+    # other fields come from other sections or flags.
+    section = cli.CONFIG_SCHEMA["properties"]["benchmark"]["properties"]
+    elsewhere = {"system", "seed", "noise", "discovery", "generators", "data",
+                 "jobs"}
+    assert set(section) == set(BenchConfig.__dataclass_fields__) - elsewhere
+
+
 def test_config_hash_ignores_out_and_jobs():
     base = {"system": "oscillator", "seeds": {"master": 3}}
     assert config_hash({**base, "out": "a", "jobs": 1}) == \
@@ -137,6 +147,7 @@ def test_help_and_version_still_exit_0(capsys):
     ({"gp": {"tournament": 5}}, "'tournament'"),
     ({"max_rounds": 3}, "'max_rounds'"),
     ({"flow_steps": 8}, "'flow_steps'"),
+    ({"batch": 8}, "'batch'"),
 ])
 def test_bad_discovery_values_exit_1(tmp_path, capsys, discovery, path):
     cfg = write_config(tmp_path, {"system": "oscillator",
@@ -310,6 +321,39 @@ def test_discover_rejects_data_keys_with_a_saved_dataset(tmp_path, capsys):
                    "--out", str(model_dir)) == 0
 
 
+def test_discover_refuses_a_system_other_than_the_datasets(tmp_path,
+                                                          capsys):
+    # The fit would use the dataset's system while the config hash records
+    # the other one; naming the dataset's own system stays allowed.
+    data = tmp_path / "data"
+    assert run_cli("generate", "--system", "oscillator", "--noise", "0",
+                   "--samples", "30", "--train", "2", "--val", "0",
+                   "--test", "0", "--out", str(data)) == 0
+    capsys.readouterr()
+    model_dir = tmp_path / "model"
+    assert run_cli("discover", "--dataset", str(data), "--system", "growth",
+                   "--method", "sindy", "--out", str(model_dir)) == 1
+    err = capsys.readouterr().err
+    assert "config error at system" in err and "oscillator" in err
+    assert not model_dir.exists()
+    assert run_cli("discover", "--dataset", str(data), "--system",
+                   "oscillator", "--method", "sindy",
+                   "--out", str(model_dir)) == 0
+
+
+def test_equiv_r_non_finite_objective_is_a_public_error(tmp_path, capsys):
+    # On growth the fgfe flow of an L-BFGS-B iterate overflows; lambda is
+    # halved once, and the second failure reaches the user by its public
+    # name.
+    with np.errstate(all="ignore"):
+        assert run_cli("discover", "--system", "growth", "--method",
+                       "equiv-r", "--loss", "fgfe",
+                       "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "error: FloatingPointError:" in err and "lambda" in err
+    assert "_NonFiniteLoss" not in err
+
+
 def test_flag_overrides_config_file(tmp_path):
     # The config file asks for noisy data; the command line wins.
     data = tmp_path / "d"
@@ -364,6 +408,20 @@ def test_explicit_generators_make_a_symmetric_benchmark_valid(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert [r["error"] for r in report["records"]] == ["", ""]
     assert len(report["config"]["generators"]) == 1
+
+
+def test_benchmark_refuses_a_library_section(tmp_path, capsys):
+    # Every method is scored in the system's registry library.
+    out = tmp_path / "bench"
+    cfg = write_config(tmp_path, {
+        "system": "oscillator", "library": {"degree": 3},
+        "benchmark": {"methods": ["sindy"], "runs": 1, "n_checkpoints": 1,
+                      "ltp_ics": 1},
+        "data": {"n_samples": 30, "n_train": 2, "n_val": 0, "n_test": 1},
+        "out": str(out)})
+    assert run_cli("benchmark", "--config", cfg) == 1
+    assert "config error at library" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class _Stop(Exception):

@@ -6,6 +6,7 @@ import pytest
 from symodes.dynamics import SindyModel, get_system
 from symodes.integrate import (IntegrationError, rk4_final, rk4_flow_tangents,
                                rk4_record, rk4_step)
+from symodes.symmetry import FLOW_STEPS
 
 
 def harmonic(x):
@@ -159,15 +160,16 @@ def test_flow_tangent_columns_advance_independently(name):
     X = 0.5 + 0.3 * rng.random((5, d))
     V0 = rng.normal(size=(5, d, 3))
     field = model.field(X.shape[:-1])
-    y, V = rk4_flow_tangents(field, model.h_jacobian, X, V0, 0.3, 16)
+    y, V = rk4_flow_tangents(field, model.h_jacobian, X, V0, 0.3, FLOW_STEPS)
     for m in range(3):
         y_m, V_m = rk4_flow_tangents(field, model.h_jacobian, X,
-                                     V0[..., m:m + 1], 0.3, 16)
+                                     V0[..., m:m + 1], 0.3, FLOW_STEPS)
         assert np.array_equal(y_m, y)
         assert np.array_equal(V_m[..., 0], V[..., m])
-    _, J = rk4_flow_tangents(field, model.h_jacobian, X, np.eye(d), 0.3, 16)
+    _, J = rk4_flow_tangents(field, model.h_jacobian, X, np.eye(d), 0.3,
+                             FLOW_STEPS)
     for k in range(d):
         U = np.broadcast_to(np.eye(d)[k], X.shape)
-        y_k, jvp = model.flow_jvp(X, U, 0.3, 16)
+        y_k, jvp = model.flow_jvp(X, U, 0.3)
         assert np.array_equal(y_k, y)
         assert np.array_equal(jvp, J[..., k])
