@@ -17,7 +17,11 @@ Dataset or an (X, dX) pair:
                      finite-transform penalty computed against transformed
                      data pairs that are built once up front; each new
                      candidate costs one tree evaluation on the fit and
-                     penalty points together.
+                     penalty points together, and each generation enters
+                     np.errstate once for all its candidates.  Tree
+                     shapes, picks and constants are drawn through the
+                     bit generator's C functions (_Draws), which give the
+                     Generator's own draws at a third of the overhead.
 
 The three W-linear fitters share one sequential-thresholding loop.  The
 model class SindyModel lives in dynamics, where it also serves as the
@@ -27,6 +31,7 @@ registry systems' true dynamics.  All fitters are deterministic given
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -337,26 +342,64 @@ def gp_evaluate(e, X):
     return evaluate(e, X, protected=True)
 
 
-def _random_tree(rng, dim, depth, full):
-    if depth <= 1 or (not full and rng.random() < 0.3):
-        if rng.random() < 0.5:
-            return Expr.var(int(rng.integers(dim)))
-        return Expr.const(float(rng.uniform(*GP_CONSTANT_RANGE)))
-    op = GP_OPERATORS[int(rng.integers(len(GP_OPERATORS)))]
+class _Draws:
+    """A Generator's bounded-integer and uniform draws, at less overhead.
+
+    below(n) equals int(rng.integers(n)) for 1 <= n <= 2**32, and k calls
+    equal rng.integers(n, size=k); random() and uniform(lo, hi) equal
+    rng.random() and rng.uniform(lo, hi).  They call the bit generator's C
+    next_uint32 and next_double through rng.bit_generator.ctypes, as the
+    Generator does (below is numpy's Lemire rejection method, and below(1)
+    draws nothing), so these draws and rng's own interleave into one
+    stream.  The ctypes calls bypass the bit generator's lock: use the
+    object from one thread only.
+    """
+
+    __slots__ = ("rng", "_state", "_u32", "_f64")
+
+    def __init__(self, rng):
+        ct = rng.bit_generator.ctypes
+        self.rng = rng
+        self._state, self._u32, self._f64 = (ct.state, ct.next_uint32,
+                                             ct.next_double)
+
+    def below(self, n):
+        if n == 1:
+            return 0
+        m = self._u32(self._state) * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = (1 << 32) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._u32(self._state) * n
+        return m >> 32
+
+    def random(self):
+        return self._f64(self._state)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self._f64(self._state)
+
+
+def _random_tree(draws, dim, depth, full):
+    if depth <= 1 or (not full and draws.random() < 0.3):
+        if draws.random() < 0.5:
+            return Expr.var(draws.below(dim))
+        return Expr.const(draws.uniform(*GP_CONSTANT_RANGE))
+    op = GP_OPERATORS[draws.below(len(GP_OPERATORS))]
     if op == "exp":
-        return Expr.exp(_random_tree(rng, dim, depth - 1, full))
-    a = _random_tree(rng, dim, depth - 1, full)
-    b = _random_tree(rng, dim, depth - 1, full)
+        return Expr.exp(_random_tree(draws, dim, depth - 1, full))
+    a = _random_tree(draws, dim, depth - 1, full)
+    b = _random_tree(draws, dim, depth - 1, full)
     return _GP_BINOPS[op](a, b)
 
 
-def _initial_population(rng, dim, cfg):
+def _initial_population(draws, dim, cfg):
     # ramped half-and-half over depths 2..6
     pop = []
     for i in range(cfg.population):
         depth = min(2 + (i % 5), GP_MAX_DEPTH)
         full = (i // 5) % 2 == 0
-        pop.append(_random_tree(rng, dim, depth, full))
+        pop.append(_random_tree(draws, dim, depth, full))
     return pop
 
 
@@ -388,29 +431,30 @@ def _replace_node(e, k, new):
     raise IndexError("node index out of range")
 
 
-def _crossover(a, b, rng):
-    ka = int(rng.integers(a.size))
-    kb = int(rng.integers(b.size))
+def _crossover(a, b, draws):
+    ka = draws.below(a.size)
+    kb = draws.below(b.size)
     return _replace_node(a, ka, _subtree(b, kb))
 
 
-def _subtree_mutation(e, rng, dim):
-    k = int(rng.integers(e.size))
-    sub = _random_tree(rng, dim, 3, False)
+def _subtree_mutation(e, draws, dim):
+    k = draws.below(e.size)
+    sub = _random_tree(draws, dim, 3, False)
     return _replace_node(e, k, sub)
 
 
-def _point_mutation(e, rng, dim):
-    k = int(rng.integers(e.size))
+def _point_mutation(e, draws, dim):
+    k = draws.below(e.size)
     t = _subtree(e, k)
     if t.kind == "const":
         width = GP_CONSTANT_RANGE[1] - GP_CONSTANT_RANGE[0]
-        new = Expr.const(t.value + 0.1 * width * rng.standard_normal())
+        new = Expr.const(t.value + 0.1 * width
+                         * draws.rng.standard_normal())
     elif t.kind == "var":
-        new = Expr.var(int(rng.integers(dim)))
+        new = Expr.var(draws.below(dim))
     elif t.kind in ("add", "sub", "mul", "div"):
         names = [o for o in GP_OPERATORS if o in _GP_BINOPS]
-        new = _GP_BINOPS[names[int(rng.integers(len(names)))]](*t.children)
+        new = _GP_BINOPS[names[draws.below(len(names))]](*t.children)
     else:
         return e
     return _replace_node(e, k, new)
@@ -453,27 +497,28 @@ def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
 
     points and targets come from gp_fitness_points: the tree is evaluated
     once on the fit points and every penalty point set stacked together,
-    and the MSE and each penalty term are read from slices.
+    and the MSE and each penalty term are read from slices.  The caller
+    owns np.errstate: evolution enters it once per generation, and a
+    candidate that overflows or divides by zero warns without it.
     """
     size = e.size
     n = y.shape[0]
-    with np.errstate(all="ignore"):
-        v = evaluate(e, points, protected=True)
-        mse = _mean_square(v[:n] - y) * inv_var
-        if not np.isfinite(mse):
-            return (np.inf, np.inf, 0.0, size)
-        pen = 0.0
-        used = 0
-        for target in targets:
-            q = v[n:n + target.shape[0]] - target
-            n += target.shape[0]
-            denom = _mean_square(target)
-            if denom < 1e-30:
-                continue
-            pen += _mean_square(q) / denom
-            used += 1
+    v = evaluate(e, points, protected=True)
+    mse = _mean_square(v[:n] - y) * inv_var
+    if not math.isfinite(mse):
+        return (np.inf, np.inf, 0.0, size)
+    pen = 0.0
+    used = 0
+    for target in targets:
+        q = v[n:n + target.shape[0]] - target
+        n += target.shape[0]
+        denom = _mean_square(target)
+        if denom < 1e-30:
+            continue
+        pen += _mean_square(q) / denom
+        used += 1
     pen = pen / used if used else 0.0
-    if not np.isfinite(pen):
+    if not math.isfinite(pen):
         return (np.inf, mse, np.inf, size)
     return (mse + cfg.parsimony * size + lam * pen, mse, pen, size)
 
@@ -532,8 +577,9 @@ def refit_constants(e, X, y):
     return out
 
 
-def _tournament(pop, fits, rng, k):
-    idx = rng.integers(len(pop), size=k).tolist()
+def _tournament(pop, fits, draws, k):
+    n = len(pop)
+    idx = [draws.below(n) for _ in range(k)]
     j = min(idx, key=lambda j: (fits[j][0], j))
     return pop[j]
 
@@ -542,6 +588,7 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
     var = float(y.var())
     inv_var = 1.0 / var if var > 0 else 1.0
     points, targets = gp_fitness_points(X, penalty, lam)
+    draws = _Draws(rng)
 
     scored = {}
 
@@ -552,19 +599,20 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
         nonlocal scored
         prev, scored = scored, {}
         fits = []
-        for e in pop:
-            hit = scored.get(id(e)) or prev.get(id(e))
-            if hit is None:
-                hit = (e, gp_candidate_fitness(e, points, y, inv_var, cfg,
-                                               targets, lam))
-            scored[id(e)] = hit
-            fits.append(hit[1])
+        with np.errstate(all="ignore"):
+            for e in pop:
+                hit = scored.get(id(e)) or prev.get(id(e))
+                if hit is None:
+                    hit = (e, gp_candidate_fitness(e, points, y, inv_var,
+                                                   cfg, targets, lam))
+                scored[id(e)] = hit
+                fits.append(hit[1])
         return fits
 
-    pop = _initial_population(rng, X.shape[-1], cfg)
+    pop = _initial_population(draws, X.shape[-1], cfg)
     fits = score(pop)
     if all(not np.isfinite(f[0]) for f in fits):
-        pop = _initial_population(rng, X.shape[-1], cfg)
+        pop = _initial_population(draws, X.shape[-1], cfg)
         fits = score(pop)
         if all(not np.isfinite(f[0]) for f in fits):
             raise RuntimeError("every candidate in the reseeded population "
@@ -577,16 +625,16 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
             break
         newpop = [best_e]
         while len(newpop) < cfg.population:
-            parent = _tournament(pop, fits, rng, GP_TOURNAMENT)
-            r = rng.random()
+            parent = _tournament(pop, fits, draws, GP_TOURNAMENT)
+            r = draws.random()
             if r < GP_P_CROSSOVER:
-                child = _crossover(parent,
-                                   _tournament(pop, fits, rng, GP_TOURNAMENT),
-                                   rng)
+                child = _crossover(
+                    parent, _tournament(pop, fits, draws, GP_TOURNAMENT),
+                    draws)
             elif r < GP_P_CROSSOVER + GP_P_SUBTREE:
-                child = _subtree_mutation(parent, rng, X.shape[-1])
+                child = _subtree_mutation(parent, draws, X.shape[-1])
             elif r < GP_P_CROSSOVER + GP_P_SUBTREE + GP_P_POINT:
-                child = _point_mutation(parent, rng, X.shape[-1])
+                child = _point_mutation(parent, draws, X.shape[-1])
             else:
                 child = parent
             if child.height > GP_MAX_DEPTH:

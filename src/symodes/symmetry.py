@@ -21,7 +21,8 @@ flow.  Only igfe's gradient needs second derivatives of the learned dynamics
 (the tangent's sensitivity); every value and the other gradients use first
 derivatives at most.  Losses average the per-point, per-generator ratios;
 points whose denominator underflows DENOM_TOL are skipped and counted
-instead of clamped.
+instead of clamped.  A NaN denominator is not an underflow: its point is
+kept, so a diverged flow or tangent makes the loss non-finite.
 
 For models that are linear in their parameters, h(x) = W Theta(x), every loss
 also has an analytic gradient in W, obtained by propagating parameter
@@ -235,7 +236,7 @@ class _Quotient:
         """u, s: (n, d) residual/denominator vectors; du, ds: (n, d, p, d)."""
         num = np.sum(u * u, axis=-1)
         den = np.sum(s * s, axis=-1)
-        mask = den >= DENOM_TOL
+        mask = ~(den < DENOM_TOL)     # a NaN denominator is kept
         self.used += int(mask.sum())
         self.skipped += int((~mask).sum())
         if not mask.any():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from symodes import discover
 from symodes.constraint import assemble_equivariant_basis, constraint_residual
 from symodes.discover import (DiscoveryConfig, GpConfig, SindyModel,
                               equation_strings, equiv_c_fit, equiv_r_fit,
@@ -250,6 +251,101 @@ def test_gp_fit_is_deterministic():
     b = gp_fit((X, 2.0 * X), cfg)
     assert [to_string(e) for e in a.exprs] == [to_string(e) for e in b.exprs]
     assert a.fitness == b.fitness
+
+
+def test_draws_equal_generator_draws():
+    # One interleaved sequence through the draws object and through a
+    # Generator with the same seed.  n near 2**32 rejects often in Lemire's
+    # method, and 2**32 itself is numpy's plain next_uint32 branch.  A numpy
+    # release that changes the Generator stream fails here first.
+    ns = [1, 2, 3, 5, 7, 13, 256, 1000, 2 ** 31 + 1, 3 * 2 ** 30 + 7,
+          2 ** 32 - 1, 2 ** 32]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        draws = discover._Draws(np.random.default_rng(seed))
+        pick = np.random.default_rng(100 + seed)
+        for _ in range(4000):
+            n = ns[int(pick.integers(len(ns)))]
+            kind = int(pick.integers(5))
+            if kind == 0:
+                assert draws.below(n) == int(rng.integers(n))
+            elif kind == 1:
+                got = [draws.below(n) for _ in range(3)]
+                assert got == rng.integers(n, size=3).tolist()
+            elif kind == 2:
+                assert draws.random() == rng.random()
+            elif kind == 3:
+                assert draws.uniform(-2.0, 2.0) == rng.uniform(-2.0, 2.0)
+            else:
+                assert (draws.rng.standard_normal()
+                        == rng.standard_normal())
+
+
+class _GeneratorDraws:
+    """The draws object's interface on the plain Generator methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def below(self, n):
+        return int(self.rng.integers(n))
+
+    def random(self):
+        return self.rng.random()
+
+    def uniform(self, lo, hi):
+        return self.rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("with_penalty", [False, True])
+def test_gp_evolution_equals_generator_draws(with_penalty, monkeypatch):
+    X = np.random.default_rng(9).uniform(0.5, 1.5, size=(80, 2))
+    dX = X @ ROTATION.T + 0.1 * X ** 2
+    cfg = DiscoveryConfig(seed=4, gp=GpConfig(population=32, generations=10))
+    symmetry = [Generator.linear(ROTATION)] if with_penalty else ()
+
+    def fit():
+        res = gp_fit((X, dX), cfg, symmetry=symmetry)
+        return [to_string(e) for e in res.exprs], res.fitness, res.history
+
+    fast = fit()
+    monkeypatch.setattr(discover, "_Draws", _GeneratorDraws)
+    assert fit() == fast
+
+
+def test_every_gp_fitness_evaluation_goes_through_the_module_global(
+        monkeypatch):
+    # perfbench's discover.gp_candidates counter wraps the module global;
+    # a local binding would leave it reading 0.  Every tree evaluation of
+    # gp_fit outside refit_constants is one candidate's fitness.
+    counts = {"fitness": 0, "evaluate": 0}
+    in_refit = [False]
+    fitness, evaluate, refit = (discover.gp_candidate_fitness,
+                                discover.evaluate, discover.refit_constants)
+
+    def counted_fitness(*args, **kwargs):
+        counts["fitness"] += 1
+        return fitness(*args, **kwargs)
+
+    def counted_evaluate(*args, **kwargs):
+        counts["evaluate"] += not in_refit[0]
+        return evaluate(*args, **kwargs)
+
+    def flagged_refit(*args, **kwargs):
+        in_refit[0] = True
+        try:
+            return refit(*args, **kwargs)
+        finally:
+            in_refit[0] = False
+
+    monkeypatch.setattr(discover, "gp_candidate_fitness", counted_fitness)
+    monkeypatch.setattr(discover, "evaluate", counted_evaluate)
+    monkeypatch.setattr(discover, "refit_constants", flagged_refit)
+    X = np.random.default_rng(5).uniform(0.5, 1.5, size=(60, 2))
+    cfg = DiscoveryConfig(seed=2, gp=GpConfig(population=16, generations=4))
+    gp_fit((X, X @ ROTATION.T), cfg, symmetry=[Generator.linear(ROTATION)])
+    assert counts["fitness"] > 0
+    assert counts["fitness"] == counts["evaluate"]
 
 
 def test_gp_fit_symmetry_weight_and_eps_come_from_the_config(monkeypatch):

@@ -140,7 +140,7 @@ def _assert_sizes(e):
 
 
 def test_depth_and_node_count():
-    from symodes.discover import _crossover, _replace_node
+    from symodes.discover import _crossover, _Draws, _replace_node
 
     e = parse("x1 + x2*x1", 2)
     assert e.node_count() == e.size == 5
@@ -149,12 +149,13 @@ def test_depth_and_node_count():
     # size and height are stored at construction; they must equal the
     # recursive definitions on every tree the GP engine can build.
     rng = np.random.default_rng(3)
+    draws = _Draws(rng)
     trees = [_random_expr(rng, 3, 6) for _ in range(200)]
     for a, b in zip(trees, trees[1:]):
         _assert_sizes(a)
         k = int(rng.integers(a.size))
         _assert_sizes(_replace_node(a, k, b))
-        _assert_sizes(_crossover(a, b, rng))
+        _assert_sizes(_crossover(a, b, draws))
         back = pickle.loads(pickle.dumps(a))
         _assert_sizes(back)
         assert (back.size, back.height) == (a.size, a.height)

@@ -289,3 +289,20 @@ def test_points_with_vanishing_denominators_are_skipped(kind):
     assert got_val == pytest.approx(want_val, rel=1e-12)
     np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
                                atol=1e-12 * np.abs(want_grad).max())
+
+
+@pytest.mark.parametrize("kind", ["igie", "fgie", "igfe", "fgfe"])
+def test_a_nan_denominator_makes_the_loss_non_finite(kind):
+    # A NaN state stands for a diverged flow: its denominator is NaN, which
+    # is not an underflow, so the point is kept and the loss and gradient
+    # turn NaN instead of skipping it (equiv-r then halves lambda).
+    model = oscillator_model()
+    gens = [Generator.linear(ROTATION)]
+    X = np.random.default_rng(43).normal(size=(6, 2)) + 1.0
+    X[2] = np.nan
+    kwargs = {"tau": 0.2} if kind in ("igfe", "fgfe") else {}
+    with np.errstate(all="ignore"):
+        value = symmetry_loss(kind, model, gens, X, **kwargs)
+        grad_value, grad = symmetry_loss_grad(kind, model, gens, X, **kwargs)
+    assert np.isnan(value) and np.isnan(grad_value)
+    assert np.isnan(grad).any()
