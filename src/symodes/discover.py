@@ -481,15 +481,20 @@ def gp_fitness_points(X, penalty, lam):
     """(points, targets) for gp_candidate_fitness, built once per evolution.
 
     points stacks X with every penalty pair's transformed points, so each
-    candidate is evaluated once on all of them; targets are the pairs'
-    pushed-forward derivatives, in the same order.  Without a penalty (lam
-    0 or no pairs) the points are X and there are no targets.
+    candidate is evaluated once on all of them.  targets holds (first row
+    in points, pushed-forward derivatives, their mean square) for each pair
+    in the same order, leaving out pairs whose derivatives are all but zero.
+    Without a penalty (lam 0 or no pairs) the points are X's values and
+    there are no targets.
     """
     pairs = penalty if lam > 0.0 and penalty else ()
-    if not pairs:
-        return X, ()
-    return (np.concatenate([X] + [gX for gX, _ in pairs]),
-            [target for _, target in pairs])
+    targets, lo = [], X.shape[0]
+    for _, target in pairs:
+        denom = _mean_square(target)
+        if not denom < 1e-30:  # a NaN stays, making every candidate inf
+            targets.append((lo, target, denom))
+        lo += target.shape[0]
+    return np.concatenate([X] + [gX for gX, _ in pairs]), targets
 
 
 def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
@@ -508,16 +513,10 @@ def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
     if not math.isfinite(mse):
         return (np.inf, np.inf, 0.0, size)
     pen = 0.0
-    used = 0
-    for target in targets:
-        q = v[n:n + target.shape[0]] - target
-        n += target.shape[0]
-        denom = _mean_square(target)
-        if denom < 1e-30:
-            continue
+    for lo, target, denom in targets:
+        q = v[lo:lo + target.shape[0]] - target
         pen += _mean_square(q) / denom
-        used += 1
-    pen = pen / used if used else 0.0
+    pen = pen / len(targets) if targets else 0.0
     if not math.isfinite(pen):
         return (np.inf, mse, np.inf, size)
     return (mse + cfg.parsimony * size + lam * pen, mse, pen, size)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -188,33 +189,51 @@ class SindyModel:
 
 
 class LinearField:
-    """h(x) = W Theta(x) on states of one batch shape, with its own buffers.
+    """h(x) = W Theta(x) on states (..., d) of one batch shape.
 
-    It owns the padded states [1, x] (the ones column is written once),
-    Theta and the (..., d, p) products, and reuses them on every call.  The
-    sum over library terms is a fixed-order reduction, not BLAS Theta @ W.T,
-    whose summation order depends on the batch shape: a row gets the same
-    bits whatever rows it is evaluated with.  Leading axes of W broadcast
-    against the batch's, so a stack of models W (M, 1, d, p) on states
-    (M, B, d) evaluates in one call.
+    Its buffers are batch-last: [1, x] as (1 + d, ...) with the ones row
+    written once, Theta as (p, ...) and the products as (p, d, ...), with W
+    moved to (p, d, ...) once, here.  The term sum is one np.add.reduce over
+    the leading axis: a left fold over the terms in library order, from
+    +0.0, whatever the batch, so a row gets the same bits in any batch (BLAS
+    Theta @ W.T would not).  Leading axes of W broadcast to the batch's, so
+    a stack of models W (M, 1, d, p) on states (M, B, d) is one call.
     """
 
     def __init__(self, lib, W, shape):
         self.lib = lib
-        self.W = np.ascontiguousarray(W, dtype=float)
-        shape = tuple(shape)
-        self._pad = np.empty(shape + (lib.dim + 1,))
-        self._pad[..., 0] = 1.0
-        self._theta = np.empty(shape + (lib.size,))
-        self._prod = np.empty(np.broadcast_shapes(shape + (1, lib.size),
-                                                  self.W.shape))
+        d, p, shape = lib.dim, lib.size, tuple(shape)
+        # numpy sums a reduction to one element pairwise, not as a left
+        # fold, so a lone state of d = 1 is bound as two, the second kept 0
+        lone = d * math.prod(shape) == 1
+        batch = (2,) if lone else shape
+        W = np.asarray(W, dtype=float)
+        W = np.moveaxis(W.reshape(d, p) if lone else W, (-1, -2), (0, 1))
+        # W's batch axes align with the trailing axes of the buffers'
+        self._W = np.ascontiguousarray(W.reshape(
+            (p, d) + (1,) * (len(batch) + 2 - W.ndim) + W.shape[2:]))
+        self._pad = np.zeros((1 + d,) + batch)
+        self._pad[0] = 1.0
+        self._theta = np.empty((p,) + batch)
+        self._theta_d = self._theta[:, None]
+        self._prod = np.empty((p, d) + batch)
+        self._h = np.empty((d,) + batch)
+        x, h = self._pad[1:], self._h
+        if lone:
+            x, h = x[:, :1], h[:, :1]
+        self._x = np.moveaxis(x, 0, -1).reshape(shape + (d,), copy=False)
+        self._out = np.moveaxis(h, 0, -1).reshape(shape + (d,), copy=False)
 
     def __call__(self, X, out=None):
         """h(X) for X of the bound shape (..., d), written into out if given."""
-        self._pad[..., 1:] = X
-        theta = self.lib.evaluate_padded(self._pad, self._theta)
-        np.multiply(theta[..., None, :], self.W, out=self._prod)
-        return np.add.reduce(self._prod, axis=-1, out=out)
+        self._x[...] = X
+        self.lib.evaluate_padded(self._pad, self._theta)
+        np.multiply(self._theta_d, self._W, out=self._prod)
+        np.add.reduce(self._prod, axis=0, out=self._h)
+        if out is None:
+            return self._out.copy()
+        out[...] = self._out
+        return out
 
 
 def equation_strings(lib, W):

@@ -86,7 +86,7 @@ def rk4_record(f, y0, dt_internal, n_internal, stride):
     step = _stepper(f, y, dt_internal)
     for i in range(1, n_internal + 1):
         step()
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise IntegrationError(i)
         if i % stride == 0:
             out[i // stride] = y

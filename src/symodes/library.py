@@ -9,12 +9,12 @@ Theta(x) with W of shape (d, p).
 Every monomial of degree at most q is the product of exactly q factors drawn
 from [1, x1, .., xd] (x1*x2 in a degree-3 library is 1 * x1 * x2), so the
 library stores that factor table once, transposed to (q, p_mono), and
-evaluates Theta with one gather from the padded states [1, x] and a
-fixed-order product over the q factors, written straight into a C-ordered
-Theta: no powers, and the bits of a row do not depend on how many rows are
-evaluated together.  Derivatives reuse Theta: d(x^e)/dx_j = e_j x^(e - 1_j)
-is itself a library monomial, so the Jacobian is one gather from Theta times
-a constant coefficient table, and the Hessian likewise with e - 1_j - 1_k.
+evaluates Theta with one gather from the batch-last padded states [1, x]
+and a fixed-order product over the q factors: no powers, and the bits of a
+row do not depend on how many rows are evaluated together.  Derivatives
+reuse Theta: d(x^e)/dx_j = e_j x^(e - 1_j) is itself a library monomial, so
+the Jacobian is one gather from Theta times a constant coefficient table,
+and the Hessian likewise with e - 1_j - 1_k.
 
 Canonicalization maps an arbitrary expression tree onto library coordinates
 when possible, which is how true coefficient matrices and term-set
@@ -120,24 +120,25 @@ class FunctionLibrary:
     # -- numerics --------------------------------------------------------
 
     def evaluate(self, X):
-        """Theta(X) for X of shape (..., d); returns (..., p)."""
+        """Theta(X) for X of shape (..., d); returns a C-ordered (..., p)."""
         X = np.asarray(X, dtype=float)
-        pad = np.empty(X.shape[:-1] + (self.dim + 1,))
-        pad[..., 0] = 1.0
-        pad[..., 1:] = X
-        return self.evaluate_padded(pad, np.empty(X.shape[:-1] + (self.size,)))
+        pad = np.empty((self.dim + 1, X.size // self.dim))
+        pad[0] = 1.0
+        pad[1:] = X.reshape(-1, self.dim).T
+        theta = self.evaluate_padded(pad, np.empty((self.size, pad.shape[1])))
+        return theta.T.copy().reshape(X.shape[:-1] + (self.size,))
 
     def evaluate_padded(self, pad, out):
-        """Theta into out (..., p) from the padded states pad (..., 1 + d).
+        """Theta into out (p, ...) from the padded states pad (1 + d, ...).
 
-        pad holds [1, x].  The gathered factors come back as (..., q,
-        p_mono), so the product over factors writes the monomials into out
-        in place, with no copy to reorder them; the exp(x_i) columns follow.
+        pad holds [1, x] batch-last.  The gathered factors come back as (q,
+        p_mono, ...), so the product over factors writes the monomials into
+        out in place; the exp(x_i) rows follow.
         """
-        mono = out[..., :self._n_mono]
-        np.multiply.reduce(pad[..., self._factors_t], axis=-2, out=mono)
+        np.multiply.reduce(pad[self._factors_t], axis=0,
+                           out=out[:self._n_mono])
         if self._exp_cols:
-            np.exp(pad[..., self._exp_cols], out=out[..., self._n_mono:])
+            np.exp(pad[self._exp_cols], out=out[self._n_mono:])
         return out
 
     def jacobian(self, X):

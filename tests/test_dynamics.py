@@ -12,6 +12,7 @@ from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, LinearField,
                               load_dataset, make_dataset, sample_initial,
                               save_dataset, split_rng)
 from symodes.integrate import rk4_final, rk4_record, rk4_step
+from symodes.library import build_library
 from symodes.symmetry import check_infinitesimal_criterion
 
 
@@ -337,8 +338,8 @@ def _reference_field(lib, W):
     """W Theta with no buffers and no factor table: the bits to reproduce.
 
     Each monomial is the product of its variables in order, the exp(x_i)
-    columns are np.exp of the gathered states, and the terms are summed
-    from the broadcast product.
+    columns are np.exp of the gathered states, and the terms of the
+    broadcast product are summed by a left fold in library order from +0.0.
     """
     monos = [t.exponents for t in lib.terms if not any(t.expflags)]
     exp_vars = [t.expflags.index(True) for t in lib.terms if any(t.expflags)]
@@ -354,9 +355,74 @@ def _reference_field(lib, W):
         theta = np.stack(cols, axis=-1)
         if exp_vars:
             theta = np.concatenate([theta, np.exp(X[..., exp_vars])], axis=-1)
-        return (theta[..., None, :] * W).sum(axis=-1)
+        prod = theta[..., None, :] * W
+        acc = np.zeros(prod.shape[:-1])
+        for mu in range(prod.shape[-1]):
+            acc = acc + prod[..., mu]
+        return acc
 
     return h
+
+
+def _assert_same_bits(got, want):
+    # equal bit patterns: unlike assert_array_equal, -0.0 differs from +0.0
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+def test_linear_field_rows_are_a_left_fold_over_terms():
+    # Every row of a bound field is _reference_field's left fold over the
+    # library terms from +0.0, bit for bit and zero signs included, alone or
+    # in any batch: d = 1, 2, 4 with p = 1 to 21 (exp columns included),
+    # on batches (), (1,), (B,) and (L, B) with stacked W.  p >= 8 is where
+    # numpy's pairwise sum differs from the fold, and one state of d = 1 is
+    # a reduction to a single element, which numpy sums pairwise.
+    rng = np.random.default_rng(21)
+    libs = ([build_library(1, q) for q in range(17)]
+            + [build_library(1, q, True) for q in (6, 14)]
+            + [build_library(2, q) for q in range(6)]
+            + [build_library(2, q, True) for q in (2, 4)]
+            + [build_library(4, q) for q in range(3)]
+            + [build_library(4, q, True) for q in (1, 2)])
+    B, L = 9, 3
+    for lib in libs:
+        d, p = lib.dim, lib.size
+        X = rng.uniform(0.2, 1.5, size=(B, d))
+        Ws = rng.normal(size=(L, 1, d, p)) * 10.0 ** rng.uniform(
+            -6, 6, size=(L, 1, d, p))
+        Ws[1, 0, 0] = -0.0  # positive products, all -0.0: the sum is +0.0
+        for W in Ws[:2, 0]:
+            want = _reference_field(lib, W)(X)
+            for x, row in zip(X, want):
+                _assert_same_bits(LinearField(lib, W, ())(x), row)
+                _assert_same_bits(LinearField(lib, W, (1,))(x[None]),
+                                  row[None])
+            _assert_same_bits(LinearField(lib, W, (B,))(X), want)
+        Y = np.stack([X, X[::-1], X])
+        got = LinearField(lib, Ws, (L, B))(Y)
+        _assert_same_bits(got, _reference_field(lib, Ws)(Y))
+        _assert_same_bits(got[0], LinearField(lib, Ws[0, 0], (B,))(X))
+        assert not np.signbit(got[1, :, 0]).any()
+
+
+def test_numpy_sums_axis_0_as_a_left_fold():
+    # LinearField's term order rests on numpy: np.add.reduce over the
+    # leading axis of a C-ordered (p, d, ...) array with two or more output
+    # elements adds its rows one at a time, from +0.0.  A numpy release
+    # that changes this fails here first.
+    rng = np.random.default_rng(5)
+    for p in (1, 2, 7, 8, 9, 16, 17, 33):
+        for tail in ((1, 2), (2,), (2, 70), (4, 9), (2, 3, 10), (4, 1, 9)):
+            a = rng.normal(size=(p,) + tail) * 10.0 ** rng.uniform(
+                -8, 8, size=(p,) + tail)
+            fold = np.zeros(tail)
+            for row in a:
+                fold = fold + row
+            out = np.empty(tail)
+            _assert_same_bits(np.add.reduce(a, axis=0, out=out), fold)
+    _assert_same_bits(np.add.reduce(np.full((9, 2), -0.0), axis=0,
+                                    out=np.empty(2)), np.zeros(2))
 
 
 def test_bound_fields_integrate_with_the_reference_bits():

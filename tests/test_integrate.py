@@ -101,11 +101,23 @@ def test_rk4_record_single_trajectory():
 
 def test_rk4_record_nonfinite_raises_with_step():
     # x' = x**2 from x0 = 1 blows up at t = 1; the recorder must fail with
-    # the index of the offending internal step rather than return inf.
-    with pytest.raises(IntegrationError) as exc, np.errstate(over="ignore", invalid="ignore"):
-        rk4_record(lambda x: x ** 2, np.array([[1.0]]), 0.05, 400, 10)
-    assert exc.value.step > 0
-    assert "step" in str(exc.value)
+    # the index of the first internal step an rk4_step loop makes
+    # non-finite, rather than return inf.
+    def f(x):
+        return x ** 2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, first = np.array([[1.0]]), None
+        for i in range(1, 401):
+            y = rk4_step(f, y, 0.05)
+            if not np.isfinite(y).all():
+                first = i
+                break
+        with pytest.raises(IntegrationError) as exc:
+            rk4_record(f, np.array([[1.0]]), 0.05, 400, 10)
+    assert first is not None
+    assert exc.value.step == first
+    assert f"step {first}" in str(exc.value)
 
 
 def test_rk4_flow_jvp_matches_finite_differences():
