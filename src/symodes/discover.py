@@ -4,7 +4,7 @@ Four fitters; all but stlsq, which takes (Theta, dX, threshold), accept a
 Dataset or an (X, dX) pair:
 
 * stlsq           -- sequentially thresholded least squares on W.
-* equiv_c_fit     -- least squares restricted to the nullspace of the
+* equiv_c_fit     -- the same least squares over the nullspace of the
                      symmetry constraint, with thresholding realized by
                      pinning entries: their columns are deleted from the
                      constraint, so pinned entries are exactly zero and
@@ -23,10 +23,11 @@ Dataset or an (X, dX) pair:
                      bit generator's C functions (_Draws), which give the
                      Generator's own draws at a third of the overhead.
 
-The three W-linear fitters share one sequential-thresholding loop.  The
-model class SindyModel lives in dynamics, where it also serves as the
-registry systems' true dynamics.  All fitters are deterministic given
-(data, config, seed).
+The three W-linear fitters share one sequential-thresholding loop and
+one QR of [Theta, dX] per fit, after which the data term's cost does not
+depend on the row count.  SindyModel lives in dynamics, where it also
+serves as the registry systems' true dynamics.  All fitters are
+deterministic given (data, config, seed).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .constraint import assemble_equivariant_basis, materialize
+from .constraint import assemble_equivariant_basis, unvec
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
 from .expressions import (Expr, evaluate, evaluate_all, expand, monomial,
@@ -104,6 +105,18 @@ def _validation_data(dataset):
 # -- sequential thresholding -----------------------------------------------------
 
 
+def _reduce(Theta, dX):
+    """(R, B, rss, N): ||dX - Theta W^T||^2 = ||B - R W^T||^2 + rss for all W.
+
+    One R-only QR of [Theta, dX], zero-padded below p + d rows: R and B are
+    its (p, p) and (p, d) blocks, rss the squared norm of its (d, d) corner.
+    """
+    N, p = np.shape(Theta)
+    T = np.linalg.qr(np.hstack([Theta, dX]), mode="r")
+    T = np.vstack([T, np.zeros((T.shape[1] - T.shape[0], T.shape[1]))])
+    return T[:p, :p], T[:p, p:], float((T[p:, p:] ** 2).sum()), N
+
+
 def _threshold_rounds(fit, shape, threshold):
     """Sequential thresholding shared by the W-linear fitters.
 
@@ -126,41 +139,38 @@ def _threshold_rounds(fit, shape, threshold):
     return W, active
 
 
-def stlsq(Theta, dX, threshold):
-    """W minimizing ||dX - Theta W^T|| with hard-thresholded refits.
+def _basis_rounds(Theta, dX, basis, threshold):
+    """Thresholded least squares over W = unvec(Q beta), Q = basis(active).
 
-    Each round solves per-dimension least squares on the surviving support,
-    then zeroes entries with |W| < threshold; supports only shrink.  A zero
-    threshold is plain least squares.
+    Q is (d*p, r) in constraint.vec order and zero outside `active`; each
+    round solves lstsq of R Q against vec B (see _reduce).
     """
-    Theta = np.asarray(Theta, dtype=float)
-    dX = np.asarray(dX, dtype=float)
-    if dX.ndim == 1:
-        dX = dX[:, None]
-    N, p = Theta.shape
-    d = dX.shape[1]
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    R, B, _, N = _reduce(Theta, dX)
+    p, d = B.shape
     if N < p:
         warnings.warn(f"only {N} samples for {p} library terms; the fit is "
-                      "underdetermined", stacklevel=2)
+                      "underdetermined", stacklevel=3)
 
-    def refit(active):
-        W = np.zeros((d, p))
-        for i in range(d):
-            idx = np.flatnonzero(active[i])
-            if idx.size == 0:
-                continue
-            coef, _, rank, _ = np.linalg.lstsq(Theta[:, idx], dX[:, i],
-                                               rcond=None)
-            if rank < idx.size:
-                warnings.warn("rank-deficient support in dimension "
-                              f"{i + 1}: using the minimum-norm solution",
-                              stacklevel=4)
-            W[i, idx] = coef
-        return W
+    def fit(active):
+        Q = basis(active)
+        r = Q.shape[1]
+        A = (R @ Q.reshape(p, d * r)).reshape(p * d, r)
+        beta, _, rank, _ = np.linalg.lstsq(A, B.reshape(-1), rcond=None)
+        if rank < r:
+            warnings.warn("rank-deficient support: using the minimum-norm "
+                          "solution", stacklevel=5)
+        return unvec(Q @ beta, d, p)
 
-    return _threshold_rounds(refit, (d, p), threshold)[0]
+    return _threshold_rounds(fit, (d, p), threshold)
+
+
+def stlsq(Theta, dX, threshold):
+    """Sequentially thresholded lstsq of dX ~ Theta W^T on one _reduce."""
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    dX = np.reshape(dX, (len(Theta), -1))
+    return _basis_rounds(Theta, dX, lambda a: np.eye(a.size)[:, a.T.ravel()],
+                         threshold)[0]
 
 
 # -- constrained regression in the equivariant subspace -------------------------
@@ -169,32 +179,22 @@ def stlsq(Theta, dX, threshold):
 def equiv_c_fit(dataset, lib, gens, cfg=None):
     """Least squares over the symmetry-constrained coefficient subspace.
 
-    The regression unknown is beta with W = unvec(Q beta), so the problem
-    stays linear.  Thresholding pins small entries: the nullspace is
-    recomputed with their columns deleted from the constraint matrix, so
-    pinned entries come back exactly zero and every intermediate W is
-    exactly equivariant.  A collapsed nullspace returns W = 0.
+    stlsq's refit over W = unvec(Q beta), Q the constraint's nullspace.
+    Thresholding pins small entries: the nullspace is recomputed with their
+    columns deleted from the constraint matrix, so pinned entries come back
+    exactly zero and every intermediate W is exactly equivariant.  A
+    collapsed nullspace returns W = 0.
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
-    Theta = lib.evaluate(X)
-    d = dX.shape[1]
-    p = lib.size
     nullities = []
 
-    def fit(active):
-        basis = assemble_equivariant_basis(lib, gens,
-                                           pins=np.argwhere(~active))
-        r = basis.nullity
-        nullities.append(r)
-        if r == 0:
-            return np.zeros((d, p))
-        A = np.einsum("nm,mir->nir", Theta, basis.Q.reshape(p, d, r))
-        beta, *_ = np.linalg.lstsq(A.reshape(-1, r), dX.reshape(-1),
-                                   rcond=None)
-        return materialize(basis, beta)
+    def basis(active):
+        Q = assemble_equivariant_basis(lib, gens, pins=np.argwhere(~active)).Q
+        nullities.append(Q.shape[1])
+        return Q
 
-    W, active = _threshold_rounds(fit, (d, p), cfg.threshold)
+    W, active = _basis_rounds(lib.evaluate(X), dX, basis, cfg.threshold)
     pins = [(int(i), int(mu)) for i, mu in np.argwhere(~active)]
     prov = {"method": "equiv-c", "nullities": nullities, "pins": pins,
             "threshold": cfg.threshold}
@@ -204,23 +204,23 @@ def equiv_c_fit(dataset, lib, gens, cfg=None):
 # -- regularized regression ------------------------------------------------------
 
 
-def _masked_minimize(W0, active, Theta, dX, lam, penalty):
+def _masked_minimize(W0, active, reduced, lam, penalty):
     """One L-BFGS-B solve over the active entries of W.
 
-    Returns (W, converged).  The per-iteration callback raises
-    RuntimeError if the objective increases across an accepted step; the
-    best iterate seen is returned even if the optimizer stops early.
+    reduced is _reduce's (R, B, rss, N).  Returns (W, converged).  The
+    callback raises RuntimeError if the objective increases across an
+    accepted step; the best iterate is returned even on an early stop.
     """
     d, p = W0.shape
-    N = Theta.shape[0]
+    R, B, rss, N = reduced
     best = {"f": np.inf, "w": None}
 
     def objective(w):
         W = np.zeros((d, p))
         W[active] = w
-        R = dX - Theta @ W.T
-        f = float((R * R).sum()) / N
-        G = (-2.0 / N) * (R.T @ Theta)
+        E = B - R @ W.T
+        f = (float((E * E).sum()) + rss) / N
+        G = (-2.0 / N) * (E.T @ R)
         if lam > 0.0:
             ls, Gs = penalty(W)
             f += lam * float(ls)
@@ -250,10 +250,9 @@ def _masked_minimize(W0, active, Theta, dX, lam, penalty):
     return W, bool(res.success)
 
 
-def _equiv_r_rounds(Theta, dX, lam, penalty, threshold):
-    d = dX.shape[1]
-    p = Theta.shape[1]
-    W_prev = stlsq(Theta, dX, 0.0)
+def _equiv_r_rounds(reduced, lam, penalty, threshold):
+    p, d = reduced[1].shape
+    W_prev = np.linalg.lstsq(*reduced[:2], rcond=None)[0].T
     lam_eff = lam
     halved = False
     converged = True
@@ -266,7 +265,7 @@ def _equiv_r_rounds(Theta, dX, lam, penalty, threshold):
             return np.zeros((d, p))
         while True:
             try:
-                W, ok = _masked_minimize(W_prev * active, active, Theta, dX,
+                W, ok = _masked_minimize(W_prev * active, active, reduced,
                                          lam_eff, penalty)
                 break
             except (DegenerateLossError, FloatingPointError):
@@ -288,17 +287,18 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
 
     Minimizes the mean squared equation error plus lambda times the
     configured symmetry loss, evaluated on a fixed subsample of
-    min(EQUIV_R_PENALTY_POINTS, N) of the N training states.  When
-    cfg.lambda_symm is None the weight is picked from cfg.lambda_grid by
-    equation error on the validation split (0.1 if there is none).  A
-    DegenerateLossError or non-finite objective halves lambda once; the
-    second raises (FloatingPointError if not finite).  An empty gens runs
-    one fit with lambda 0, i.e. thresholded least squares by L-BFGS-B;
-    the CLI and the benchmark refuse equiv-r without a generator.
+    min(EQUIV_R_PENALTY_POINTS, N) of the N training states; all lambdas
+    and rounds share one _reduce, so the data term costs O(d p^2), not
+    O(N).  A None cfg.lambda_symm picks from cfg.lambda_grid by validation
+    equation error (0.1 without a val split).  A DegenerateLossError or
+    non-finite objective halves lambda once; the second raises
+    (FloatingPointError if not finite).  An empty gens runs one fit with
+    lambda 0, i.e. thresholded least squares by L-BFGS-B; the CLI and the
+    benchmark refuse equiv-r without a generator.
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
-    Theta = lib.evaluate(X)
+    reduced = _reduce(lib.evaluate(X), dX)
     rng = split_rng(cfg.seed, 0)
     nb = min(EQUIV_R_PENALTY_POINTS, X.shape[0])
     Xb = X[rng.choice(X.shape[0], size=nb, replace=False)]
@@ -316,7 +316,7 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
         lam_values = tuple(cfg.lambda_grid) if val is not None else (0.1,)
     results = []
     for lam in lam_values:
-        W, info = _equiv_r_rounds(Theta, dX, lam, penalty, cfg.threshold)
+        W, info = _equiv_r_rounds(reduced, lam, penalty, cfg.threshold)
         results.append((lam, W, info))
     if len(results) == 1:
         lam, W, info = results[0]

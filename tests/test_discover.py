@@ -99,6 +99,110 @@ def test_fits_on_unsmoothed_dataset_use_raw_state_derivatives():
     assert support(equiv_c_fit(ds, lib, sys.generators, cfg).W) == truth
 
 
+# -- the reduced least-squares problem -------------------------------------------
+
+
+def stlsq_per_dimension(Theta, dX, threshold):
+    """Reference STLSQ: per-dimension lstsq on Theta[:, support] each round."""
+    d, p = dX.shape[1], Theta.shape[1]
+    active = np.ones((d, p), dtype=bool)
+    for _ in range(1 + discover.THRESHOLD_ROUNDS):
+        W = np.zeros((d, p))
+        for i in range(d):
+            idx = np.flatnonzero(active[i])
+            if idx.size:
+                W[i, idx] = np.linalg.lstsq(Theta[:, idx], dX[:, i],
+                                            rcond=None)[0]
+        small = active & (np.abs(W) < threshold)
+        if not small.any():
+            break
+        active &= ~small
+    return W
+
+
+@pytest.mark.parametrize("N, p, d, twin", [
+    (2000, 6, 2, False),        # N >> p
+    (5, 6, 2, False),           # N < p + d: the factor is zero-padded
+    (300, 10, 4, True),         # a repeated Theta column
+])
+def test_reduction_preserves_the_squared_residual(N, p, d, twin):
+    rng = np.random.default_rng(N + p)
+    Theta = rng.normal(size=(N, p))
+    if twin:
+        Theta[:, 3] = Theta[:, 1]
+    dX = rng.normal(size=(N, d))
+    R, B, rss, n = discover._reduce(Theta, dX)
+    assert R.shape == (p, p) and B.shape == (p, d) and n == N
+    for _ in range(5):
+        W = rng.normal(size=(d, p))
+        full = float(((dX - Theta @ W.T) ** 2).sum())
+        reduced = float(((B - R @ W.T) ** 2).sum()) + rss
+        assert abs(reduced - full) <= 1e-12 * full
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("oscillator", 0), ("growth", 1), ("seir", 3), ("glycolytic", 0)])
+def test_stlsq_matches_per_dimension_reference(name, seed):
+    # The shared reduced refit must give the per-dimension algorithm's
+    # supports and coefficients on the registry datasets.
+    from symodes.dynamics import make_dataset
+
+    sys = get_system(name)
+    ds = make_dataset(name, seed=seed, counts=(sys.data.n_train, 0, 0))
+    X, dX = ds.regression_arrays("train")
+    Theta = sys.library().evaluate(X)
+    W = stlsq(Theta, dX, ds.threshold)
+    W_ref = stlsq_per_dimension(Theta, dX, ds.threshold)
+    assert support(W, tol=0.0) == support(W_ref, tol=0.0)
+    np.testing.assert_allclose(W, W_ref, rtol=1e-10, atol=0.0)
+
+
+def test_fewer_samples_than_terms_warns_underdetermined():
+    # Both fitters share the warning; 4 samples for 6 terms also leave
+    # stlsq's support rank-deficient.
+    sys, lib, X, dX = clean_arrays("oscillator", n=4)
+    for fit in (lambda: stlsq(lib.evaluate(X), dX, threshold=0.0),
+                lambda: equiv_c_fit((X, dX), lib, sys.generators)):
+        with pytest.warns(UserWarning) as record:
+            fit()
+        assert any("underdetermined" in str(w.message) for w in record)
+
+
+def test_repeated_column_warns_and_splits_minimum_norm():
+    x = np.linspace(-1.0, 1.0, 50)
+    Theta = np.stack([np.ones_like(x), x, x], axis=1)
+    dX = np.stack([2.0 * x, 1.0 - x], axis=1)
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        W = stlsq(Theta, dX, threshold=0.0)
+    np.testing.assert_allclose(W, [[0.0, 1.0, 1.0], [1.0, -0.5, -0.5]],
+                               atol=1e-12)
+
+
+def test_each_fit_reduces_once(monkeypatch):
+    from symodes.dynamics import make_dataset
+
+    calls = []
+    reduce = discover._reduce
+
+    def counted(Theta, dX):
+        calls.append(Theta.shape)
+        return reduce(Theta, dX)
+
+    monkeypatch.setattr(discover, "_reduce", counted)
+    sys = get_system("oscillator")
+    lib = sys.library()
+    ds = make_dataset("oscillator", seed=0, counts=(6, 2, 0))
+    X, dX = ds.regression_arrays("train")
+    stlsq(lib.evaluate(X), dX, ds.threshold)
+    assert len(calls) == 1
+    equiv_c_fit(ds, lib, sys.generators, DiscoveryConfig(ds.threshold))
+    assert len(calls) == 2
+    cfg = DiscoveryConfig(ds.threshold, lambda_grid=(0.01, 0.1, 1.0))
+    model = equiv_r_fit(ds, lib, sys.generators, cfg)
+    assert len(model.provenance["val_scores"]) == 3
+    assert len(calls) == 3
+
+
 # -- constrained fit -------------------------------------------------------------
 
 
