@@ -177,14 +177,12 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
     B = X.shape[0]
     n_cp = len(checkpoints)
     Y = np.stack([X] * (L + len(others)))
-    F = np.empty_like(Y)
     linear_h = LinearField(lib, Ws, (L, B))
 
-    def stacked_h(Y):
-        linear_h(Y[:L], out=F[:L])
+    def stacked_h(Y, F):
+        linear_h(Y[:L], F[:L])
         for j, m in enumerate(others, start=L):
-            models[m].h(Y[j], out=F[j])
-        return F
+            models[m].h(Y[j], F[j])
 
     out = {m: {"checkpoints": list(checkpoints),
                "errors": np.zeros((n_cp, B)),

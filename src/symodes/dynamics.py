@@ -29,7 +29,7 @@ import scipy.linalg
 from . import __version__ as _tool_version
 from .expressions import parse
 from .integrate import rk4_final, rk4_flow_tangents, rk4_record
-from .library import build_library, m_theta
+from .library import ThetaKernel, build_library, m_theta
 from .symmetry import FLOW_STEPS, Generator
 
 INTERNAL_DT = 0.002
@@ -191,17 +191,19 @@ class SindyModel:
 class LinearField:
     """h(x) = W Theta(x) on states (..., d) of one batch shape.
 
-    Its buffers are batch-last: [1, x] as (1 + d, ...) with the ones row
-    written once, Theta as (p, ...) and the products as (p, d, ...), with W
-    moved to (p, d, ...) once, here.  The term sum is one np.add.reduce over
-    the leading axis: a left fold over the terms in library order, from
-    +0.0, whatever the batch, so a row gets the same bits in any batch (BLAS
-    Theta @ W.T would not).  Leading axes of W broadcast to the batch's, so
-    a stack of models W (M, 1, d, p) on states (M, B, d) is one call.
+    f(X, out) writes h(X) into out (integrate's field contract); f(X)
+    returns a fresh array.  Its buffers are batch-last: a ThetaKernel bound
+    to d copies of the batch, so Theta comes as (p, d, ...), and W spread to
+    (p, d, ...) once, here; the products W Theta are then one multiply in
+    place, with nothing broadcast.  The term sum is one np.add.reduce over
+    the leading axis into a contiguous (d, ...) buffer: a left fold over the
+    terms in library order, from +0.0, whatever the batch, so a row gets the
+    same bits in any batch (BLAS Theta @ W.T would not).  Leading axes of W
+    broadcast to the batch's, so a stack of models W (M, 1, d, p) on states
+    (M, B, d) is one call.
     """
 
     def __init__(self, lib, W, shape):
-        self.lib = lib
         d, p, shape = lib.dim, lib.size, tuple(shape)
         # numpy sums a reduction to one element pairwise, not as a left
         # fold, so a lone state of d = 1 is bound as two, the second kept 0
@@ -210,26 +212,25 @@ class LinearField:
         W = np.asarray(W, dtype=float)
         W = np.moveaxis(W.reshape(d, p) if lone else W, (-1, -2), (0, 1))
         # W's batch axes align with the trailing axes of the buffers'
-        self._W = np.ascontiguousarray(W.reshape(
-            (p, d) + (1,) * (len(batch) + 2 - W.ndim) + W.shape[2:]))
-        self._pad = np.zeros((1 + d,) + batch)
-        self._pad[0] = 1.0
-        self._theta = np.empty((p,) + batch)
-        self._theta_d = self._theta[:, None]
-        self._prod = np.empty((p, d) + batch)
+        self._W = np.ascontiguousarray(np.broadcast_to(W.reshape(
+            (p, d) + (1,) * (len(batch) + 2 - W.ndim) + W.shape[2:]),
+            (p, d) + batch))
+        self._theta = ThetaKernel(lib, (d,) + batch)
         self._h = np.empty((d,) + batch)
-        x, h = self._pad[1:], self._h
+        x, h = self._theta.pad[1:], self._h
         if lone:
-            x, h = x[:, :1], h[:, :1]
-        self._x = np.moveaxis(x, 0, -1).reshape(shape + (d,), copy=False)
+            x, h = x[..., :1], h[:, :1]
+        # X is written into each of the d copies
+        self._x = np.moveaxis(x, 0, -1).reshape((d,) + shape + (d,),
+                                                copy=False)
         self._out = np.moveaxis(h, 0, -1).reshape(shape + (d,), copy=False)
 
     def __call__(self, X, out=None):
         """h(X) for X of the bound shape (..., d), written into out if given."""
         self._x[...] = X
-        self.lib.evaluate_padded(self._pad, self._theta)
-        np.multiply(self._theta_d, self._W, out=self._prod)
-        np.add.reduce(self._prod, axis=0, out=self._h)
+        theta = self._theta()
+        np.multiply(theta, self._W, theta)
+        np.add.reduce(theta, 0, None, self._h)
         if out is None:
             return self._out.copy()
         out[...] = self._out

@@ -8,14 +8,19 @@ that quantities differentiated through the flow see exactly the discrete map
 that produced the values: a tangent or sensitivity system is packed with its
 state into one array (rk4_flow_tangents) and advanced by rk4_final.
 
-rk4_final and rk4_record advance one state array in place, writing every
-RK4 temporary into scratch arrays kept for the whole integration, so the
-stepper allocates nothing per step and gives rk4_step's bits.  A field's
-result is used only until its next call, so a field may return a buffer it
-reuses or its own argument.
+Every field follows one contract: f(x, out) reads x and writes h(x) into
+out, a stepper-owned array of x's shape.  rk4_final and rk4_record advance one
+state in place through three scratch arrays kept for the whole integration,
+so no step allocates, and in the order of y + (dt/6)(k1 + 2k2 + 2k3 + k4),
+so the states have that out-of-place formula's bits.  rk4_record checks
+finiteness once per recorded sample and replays a non-finite sample step
+by step from the last recorded state, to name the first failing step: y + s
+is non-finite wherever y is, so a state stays non-finite to the sample end.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -29,35 +34,25 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-def rk4_step(f, y, dt):
-    """One classical RK4 update: the reference the in-place stepper follows."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _stepper(f, y, dt):
     """A function advancing y, which the caller owns, one RK4 step in place.
 
-    Every product and sum of rk4_step, in its order, writes into one of
-    three scratch arrays: the stage state, the weighted slope sum and one
-    product.
+    k1 goes straight into the slope sum acc, k2..k4 into k (then 2k); 0-d
+    constants and positional outs make the cheapest ufunc calls.
     """
-    stage, acc, tmp = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    half, sixth = 0.5 * dt, dt / 6.0
+    k, stage, acc = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    half, full, sixth, two = map(np.array, (0.5 * dt, dt, dt / 6.0, 2.0))
 
     def step():
-        k = f(y)
-        np.copyto(acc, k)
-        np.add(y, np.multiply(half, k, out=stage), out=stage)
-        for c in (half, dt):
-            k = f(stage)
-            np.add(acc, np.multiply(2.0, k, out=tmp), out=acc)
-            np.add(y, np.multiply(c, k, out=stage), out=stage)
-        np.add(acc, f(stage), out=acc)
-        np.add(y, np.multiply(sixth, acc, out=acc), out=y)
+        f(y, acc)
+        np.add(y, np.multiply(half, acc, stage), stage)
+        for c in (half, full):
+            f(stage, k)
+            np.add(y, np.multiply(c, k, stage), stage)
+            np.add(acc, np.multiply(two, k, k), acc)
+        f(stage, k)
+        np.add(acc, k, acc)
+        np.add(y, np.multiply(sixth, acc, acc), y)
 
     return step
 
@@ -66,7 +61,7 @@ def rk4_final(f, y0, total_time, steps):
     """Endpoint of `steps` RK4 substeps; non-finite values propagate silently."""
     y = np.array(y0, dtype=float)
     step = _stepper(f, y, total_time / steps)
-    for _ in range(steps):
+    for _ in repeat(None, steps):
         step()
     return y
 
@@ -84,12 +79,16 @@ def rk4_record(f, y0, dt_internal, n_internal, stride):
     out = np.empty((n_internal // stride + 1,) + y.shape)
     out[0] = y
     step = _stepper(f, y, dt_internal)
-    for i in range(1, n_internal + 1):
-        step()
+    for j in range(1, n_internal // stride + 1):
+        for _ in repeat(None, stride):
+            step()
         if not np.isfinite(y).all():
-            raise IntegrationError(i)
-        if i % stride == 0:
-            out[i // stride] = y
+            y[...] = out[j - 1]
+            for i in range((j - 1) * stride + 1, j * stride + 1):
+                step()
+                if not np.isfinite(y).all():
+                    raise IntegrationError(i)
+        out[j] = y
     return out
 
 
@@ -103,13 +102,11 @@ def rk4_flow_tangents(f, jac, y0, V0, total_time, steps):
     """
     y0, V0 = np.asarray(y0, dtype=float), np.asarray(V0, dtype=float)
     V0 = np.broadcast_to(V0, y0.shape + V0.shape[-1:])
-    dz = np.empty(V0.shape[:-1] + (1 + V0.shape[-1],))
 
-    def rhs(z):
+    def rhs(z, dz):
         y = z[..., 0]
-        dz[..., 0] = f(y)
+        f(y, dz[..., 0])
         np.einsum("...ij,...jm->...im", jac(y), z[..., 1:], out=dz[..., 1:])
-        return dz
 
     z = rk4_final(rhs, np.concatenate([y0[..., None], V0], axis=-1),
                   total_time, steps)

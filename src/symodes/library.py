@@ -8,9 +8,8 @@ Theta(x) with W of shape (d, p).
 
 Every monomial of degree at most q is the product of exactly q factors drawn
 from [1, x1, .., xd] (x1*x2 in a degree-3 library is 1 * x1 * x2), so the
-library stores that factor table once, transposed to (q, p_mono), and
-evaluates Theta with one gather from the batch-last padded states [1, x]
-and a fixed-order product over the q factors: no powers, and the bits of a
+library stores that factor table once, transposed to (q, p_mono), and one
+kernel, ThetaKernel, evaluates Theta from it: no powers, and the bits of a
 row do not depend on how many rows are evaluated together.  Derivatives
 reuse Theta: d(x^e)/dx_j = e_j x^(e - 1_j) is itself a library monomial, so
 the Jacobian is one gather from Theta times a constant coefficient table,
@@ -78,7 +77,11 @@ class TermKey:
 
 
 class FunctionLibrary:
-    """Ordered term basis with vectorized evaluation and derivatives."""
+    """Ordered term basis with vectorized evaluation and derivatives.
+
+    Theta comes from a ThetaKernel: evaluate binds one to each call's
+    states, and dynamics.LinearField binds one for its whole lifetime.
+    """
 
     def __init__(self, dim, degree, include_exponentials=False):
         if dim < 1:
@@ -94,10 +97,10 @@ class FunctionLibrary:
         self._index = {t: i for i, t in enumerate(self.terms)}
         n_mono = self._n_mono = sum(1 for t in self.terms
                                     if not any(t.expflags))
-        self._factors_t = _factor_table(self.terms[:n_mono], self.degree).T
-        # exp(x_i) reads column 1 + i of the padded states [1, x]
-        self._exp_cols = [1 + t.expflags.index(True)
-                          for t in self.terms[n_mono:]]
+        # two factors at least (1 * x is x, bit for bit), so every product
+        # in ThetaKernel starts with one multiply
+        self._factors_t = _factor_table(self.terms[:n_mono],
+                                        max(self.degree, 2)).T
         self._jac_src, self._jac_coef = self._derivative_table(1)
         self._hess_src, self._hess_coef = self._derivative_table(2)
 
@@ -122,24 +125,11 @@ class FunctionLibrary:
     def evaluate(self, X):
         """Theta(X) for X of shape (..., d); returns a C-ordered (..., p)."""
         X = np.asarray(X, dtype=float)
-        pad = np.empty((self.dim + 1, X.size // self.dim))
-        pad[0] = 1.0
-        pad[1:] = X.reshape(-1, self.dim).T
-        theta = self.evaluate_padded(pad, np.empty((self.size, pad.shape[1])))
+        kernel = ThetaKernel(self, (X.size // self.dim,))
+        kernel.pad[1:] = X.reshape(-1, self.dim).T
+        theta = kernel()
+        del kernel  # the gathered factors go before the copy is made
         return theta.T.copy().reshape(X.shape[:-1] + (self.size,))
-
-    def evaluate_padded(self, pad, out):
-        """Theta into out (p, ...) from the padded states pad (1 + d, ...).
-
-        pad holds [1, x] batch-last.  The gathered factors come back as (q,
-        p_mono, ...), so the product over factors writes the monomials into
-        out in place; the exp(x_i) rows follow.
-        """
-        np.multiply.reduce(pad[self._factors_t], axis=0,
-                           out=out[:self._n_mono])
-        if self._exp_cols:
-            np.exp(pad[self._exp_cols], out=out[self._n_mono:])
-        return out
 
     def jacobian(self, X):
         """d Theta / dx, shape (..., p, d)."""
@@ -181,6 +171,38 @@ class FunctionLibrary:
                                                           t.expflags)]
                     coef[(mu,) + js] = c
         return src, coef
+
+
+class ThetaKernel:
+    """Theta of one library on one batch shape, into buffers bound here.
+
+    The caller writes the states batch-last into pad[1:] (pad[0] holds the
+    ones); a call fills theta, (p,) + batch, and returns it, allocating
+    nothing.  Every monomial's factors are gathered into one buffer and
+    multiplied in place, left to right as np.multiply.reduce does; the
+    exp(x_1) .. exp(x_d) rows, which follow the monomials, come last.
+    """
+
+    def __init__(self, lib, batch):
+        batch, n_mono = tuple(batch), lib._n_mono
+        self.pad = np.zeros((1 + lib.dim,) + batch)
+        self.pad[0] = 1.0
+        self.theta = np.empty((lib.size,) + batch)
+        self._factors, self._mono = lib._factors_t, self.theta[:n_mono]
+        self._gather = np.empty(self._factors.shape + batch)
+        self._first, self._second, *self._rest = self._gather
+        self._exp = ((self.pad[1:], self.theta[n_mono:])
+                     if lib.include_exponentials else None)
+
+    def __call__(self):
+        mono = self._mono
+        np.take(self.pad, self._factors, 0, self._gather, "clip")
+        np.multiply(self._first, self._second, mono)
+        for row in self._rest:
+            np.multiply(mono, row, mono)
+        if self._exp:
+            np.exp(*self._exp)
+        return self.theta
 
 
 def _ordered_terms(dim, degree, include_exponentials):

@@ -97,12 +97,12 @@ class Generator:
     def is_linear(self):
         return self.matrix is not None
 
-    def __call__(self, X):
-        """v(X) for X of shape (..., d)."""
+    def __call__(self, X, out=None):
+        """v(X) for X of shape (..., d), written into out if given."""
         X = np.asarray(X, dtype=float)
         if self.is_linear:
-            return X @ self.matrix.T
-        return evaluate_all(self.components, X)
+            return np.matmul(X, self.matrix.T, out=out)
+        return evaluate_all(self.components, X, out=out)
 
     def jacobian(self, X):
         """J_v(X), shape (..., d, d)."""
@@ -371,14 +371,13 @@ def _flow_with_sensitivity(W, lib, X, tau, V0=None):
     z0[..., 0] = X
     if V0 is not None:
         z0[..., 1] = V0
-    dz = np.empty_like(z0)
 
     def split(z):
         """Views [y, (delta,) Sy, (Sdelta)] of a packed array."""
         S = z[..., k:].reshape(n, d, k, p, d)
         return [z[..., i] for i in range(k)] + [S[:, :, i] for i in range(k)]
 
-    def rhs(z):
+    def rhs(z, dz):
         v, out = split(z), split(dz)
         y, Sy = v[0], v[k]
         Th = lib.evaluate(y)
@@ -394,7 +393,6 @@ def _flow_with_sensitivity(W, lib, X, tau, V0=None):
             out[3][...] = (_direct_term(np.einsum("npj,nj->np", Jth, de), d)
                            + np.einsum("nik,nkma->nima", T, Sy)
                            + np.einsum("nij,njma->nima", Jh, Sd))
-        return dz
 
     return tuple(a.copy() for a in split(rk4_final(rhs, z0, tau, FLOW_STEPS)))
 

@@ -253,8 +253,9 @@ def test_criterion_09_numerical_substrate():
     x0 = np.array([1.0, 0.0])
     t = float(np.pi)
 
-    def harmonic(x):
-        return np.stack([x[..., 1], -x[..., 0]], axis=-1)
+    def harmonic(x, out):
+        out[..., 0] = x[..., 1]
+        np.negative(x[..., 0], out[..., 1])
 
     exact = np.array([np.cos(t), -np.sin(t)]) * x0[0] + \
         np.array([np.sin(t), np.cos(t)]) * x0[1]

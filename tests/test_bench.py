@@ -201,6 +201,32 @@ def oscillator_models():
     return sys, models, ics
 
 
+def test_long_term_error_stacked_field_writes_its_fresh_bits_into_out(
+        monkeypatch):
+    # The stacked field LTP hands rk4_final, called with out, writes every
+    # block's own fresh result: the truth and the W-linear models (one
+    # bound LinearField) and the GP model, whatever out held.
+    sys, models, ics = oscillator_models()
+    fields = []
+    real = bench.rk4_final
+
+    def capture(f, *args):
+        fields.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(bench, "rk4_final", capture)
+    long_term_error(models, sys, ics, horizon=0.5, checkpoints=[0.5])
+    Y = np.stack([ics + 0.1 * j for j in range(4)])
+    want = np.stack([sys.oracle().h(Y[0])]
+                    + [models[m].h(y) for m, y in zip(("a", "b", "gp"),
+                                                     Y[1:])])
+    for fill in (np.nan, 0.0):
+        out = np.full_like(Y, fill)
+        fields[0](Y, out)
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      want.view(np.uint64))
+
+
 def test_long_term_error_stacked_equals_one_model_at_a_time():
     # The W-linear models and the GP model share one stacked integration
     # with the truth; each result equals its own call.

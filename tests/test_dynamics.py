@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from rk4_reference import rk4_step
 
 from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, LinearField,
                               NoiseSpec, SindyModel, Trajectory,
@@ -11,7 +12,7 @@ from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, LinearField,
                               get_system, gp_smooth, gp_smooth_series,
                               load_dataset, make_dataset, sample_initial,
                               save_dataset, split_rng)
-from symodes.integrate import rk4_final, rk4_record, rk4_step
+from symodes.integrate import rk4_final, rk4_record
 from symodes.library import build_library
 from symodes.symmetry import check_infinitesimal_criterion
 
@@ -371,13 +372,22 @@ def _assert_same_bits(got, want):
                                   np.ascontiguousarray(want).view(np.uint64))
 
 
+def _assert_field_bits(field, X, want):
+    # the fresh result and the one written into a NaN-filled out
+    _assert_same_bits(field(X), want)
+    out = np.full(np.shape(X), np.nan)
+    assert field(X, out) is out
+    _assert_same_bits(out, want)
+
+
 def test_linear_field_rows_are_a_left_fold_over_terms():
     # Every row of a bound field is _reference_field's left fold over the
     # library terms from +0.0, bit for bit and zero signs included, alone or
-    # in any batch: d = 1, 2, 4 with p = 1 to 21 (exp columns included),
-    # on batches (), (1,), (B,) and (L, B) with stacked W.  p >= 8 is where
-    # numpy's pairwise sum differs from the fold, and one state of d = 1 is
-    # a reduction to a single element, which numpy sums pairwise.
+    # in any batch, returned fresh or written into out: d = 1, 2, 4 with
+    # p = 1 to 21 (exp columns included), on batches (), (1,), (B,) and
+    # (L, B) with stacked W.  p >= 8 is where numpy's pairwise sum differs
+    # from the fold, and one state of d = 1 is a reduction to a single
+    # element, which numpy sums pairwise.
     rng = np.random.default_rng(21)
     libs = ([build_library(1, q) for q in range(17)]
             + [build_library(1, q, True) for q in (6, 14)]
@@ -395,13 +405,14 @@ def test_linear_field_rows_are_a_left_fold_over_terms():
         for W in Ws[:2, 0]:
             want = _reference_field(lib, W)(X)
             for x, row in zip(X, want):
-                _assert_same_bits(LinearField(lib, W, ())(x), row)
-                _assert_same_bits(LinearField(lib, W, (1,))(x[None]),
-                                  row[None])
-            _assert_same_bits(LinearField(lib, W, (B,))(X), want)
+                _assert_field_bits(LinearField(lib, W, ()), x, row)
+                _assert_field_bits(LinearField(lib, W, (1,)), x[None],
+                                   row[None])
+            _assert_field_bits(LinearField(lib, W, (B,)), X, want)
         Y = np.stack([X, X[::-1], X])
         got = LinearField(lib, Ws, (L, B))(Y)
-        _assert_same_bits(got, _reference_field(lib, Ws)(Y))
+        _assert_field_bits(LinearField(lib, Ws, (L, B)), Y,
+                           _reference_field(lib, Ws)(Y))
         _assert_same_bits(got[0], LinearField(lib, Ws[0, 0], (B,))(X))
         assert not np.signbit(got[1, :, 0]).any()
 

@@ -1,16 +1,31 @@
 """Convergence, recording, and sensitivity tests for the RK4 integrator."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from rk4_reference import rk4_step
 
-from symodes.dynamics import SindyModel, get_system
+from symodes import integrate
+from symodes.dynamics import INTERNAL_DT, SindyModel, get_system
 from symodes.integrate import (IntegrationError, rk4_final, rk4_flow_tangents,
-                               rk4_record, rk4_step)
+                               rk4_record)
 from symodes.symmetry import FLOW_STEPS
 
 
-def harmonic(x):
-    return np.stack([x[..., 1], -x[..., 0]], axis=-1)
+def harmonic(x, out):
+    out[..., 0] = x[..., 1]
+    np.negative(x[..., 0], out[..., 1])
+
+
+def fresh(f):
+    """A field f(x, out) as rk4_step's f(x), returning a fresh array."""
+    def h(x):
+        out = np.empty_like(x)
+        f(x, out)
+        return out
+    return h
 
 
 def harmonic_exact(x0, t):
@@ -20,40 +35,43 @@ def harmonic_exact(x0, t):
 
 
 def test_rk4_step_linear_problem_one_step_error():
-    # One RK4 step on x' = -x matches the degree-4 Taylor polynomial of exp.
-    import math
-
+    # One RK4 step on x' = -x matches the degree-4 Taylor polynomial of exp,
+    # through the reference and through the stepper.
     y = np.array([1.0])
     dt = 0.1
-    out = rk4_step(lambda x: -x, y, dt)
     taylor = sum((-dt) ** k / math.factorial(k) for k in range(5))
-    assert out[0] == pytest.approx(taylor, abs=1e-15)
+    for out in (rk4_step(lambda x: -x, y, dt),
+                rk4_final(lambda x, out: np.negative(x, out), y, dt, 1)):
+        assert out[0] == pytest.approx(taylor, abs=1e-15)
 
 
 def test_rk4_in_place_steps_match_rk4_step_for_any_field():
     # rk4_final and rk4_record step in place; they give the bits of an
-    # rk4_step loop for a field returning a fresh array, a buffer it reuses
-    # (rk4_step itself needs a fresh copy of it), a reversed view of its
-    # argument, or its argument itself.
+    # rk4_step loop over the same field returning fresh arrays, for a field
+    # writing out directly, one copying a buffer it reuses, one writing
+    # through a reversed view of out, one copying a reversed view of its
+    # argument, and one copying its argument itself.
     x0 = np.array([[1.0, 0.0], [0.3, -0.7], [-0.2, 0.4]])
     buf = np.empty_like(x0)
 
-    def reused(x):
-        return np.multiply(x[..., ::-1], [1.0, -1.0], out=buf)
+    def reused(x, out):
+        np.copyto(out, np.multiply(x[..., ::-1], [1.0, -1.0], out=buf))
 
     dt, steps = 0.01, 40
-    for f, fresh in ((harmonic, harmonic), (reused, lambda x: reused(x).copy()),
-                     (lambda x: x[..., ::-1],) * 2, (lambda x: x,) * 2):
+    for f in (harmonic, reused,
+              lambda x, out: np.copyto(out[..., ::-1], x),
+              lambda x, out: np.copyto(out, x[..., ::-1]),
+              lambda x, out: np.copyto(out, x)):
         y, want = x0, [x0]
         for i in range(1, steps + 1):
-            y = rk4_step(fresh, y, dt)
+            y = rk4_step(fresh(f), y, dt)
             if i % 10 == 0:
                 want.append(y)
         np.testing.assert_array_equal(rk4_record(f, x0, dt, steps, 10),
                                       np.array(want))
         y = x0
         for _ in range(steps):
-            y = rk4_step(fresh, y, 1.0 / steps)
+            y = rk4_step(fresh(f), y, 1.0 / steps)
         np.testing.assert_array_equal(rk4_final(f, x0, 1.0, steps), y)
 
 
@@ -100,24 +118,97 @@ def test_rk4_record_single_trajectory():
 
 
 def test_rk4_record_nonfinite_raises_with_step():
-    # x' = x**2 from x0 = 1 blows up at t = 1; the recorder must fail with
-    # the index of the first internal step an rk4_step loop makes
-    # non-finite, rather than return inf.
-    def f(x):
-        return x ** 2
+    # x' = x**2 from x0 = 1 blows up at t = 1 (the row from 0.5 at t = 2);
+    # the recorder must fail with the index of the first internal step an
+    # rk4_step loop makes non-finite, rather than return inf, whether it
+    # checks after every step (stride 1), after every 10, once for the whole
+    # run (stride 400), or after a sample whose last step is the first
+    # failing one.
+    def f(x, out):
+        np.multiply(x, x, out)
 
+    x0 = np.array([[0.5], [1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        y, first = np.array([[1.0]]), None
+        y, first = x0, None
         for i in range(1, 401):
-            y = rk4_step(f, y, 0.05)
+            y = rk4_step(fresh(f), y, 0.05)
             if not np.isfinite(y).all():
                 first = i
                 break
-        with pytest.raises(IntegrationError) as exc:
-            rk4_record(f, np.array([[1.0]]), 0.05, 400, 10)
-    assert first is not None
-    assert exc.value.step == first
-    assert f"step {first}" in str(exc.value)
+        assert first is not None and first % 10 != 0
+        for n_internal, stride in ((400, 1), (400, 10), (400, 400),
+                                   (2 * first, first)):
+            with pytest.raises(IntegrationError) as exc:
+                rk4_record(f, x0, 0.05, n_internal, stride)
+            assert exc.value.step == first
+            assert f"step {first}" in str(exc.value)
+
+
+def test_in_place_steps_allocate_nothing():
+    # Through a bound LinearField, rk4_final and rk4_record reach the same
+    # traced peak for 100 steps as for 2,000 (rk4_record keeps 11 samples
+    # either way).  Nor does any step allocate a state-sized array: from the
+    # field's first call on, when the stepper holds its buffers, the traced
+    # peak grows by less than the states do when the batch grows tenfold.
+    # numpy's per-call scratch does not grow with the batch, and
+    # rk4_record's finiteness mask, made once per sample, is 1/8 of a state.
+    system = get_system("oscillator")
+    rng = np.random.default_rng(2)
+    small, large = (rng.uniform(-1.0, 1.0, size=(n, 2)) for n in (70, 700))
+
+    def peak_over_base(run, X, n):
+        field = system.oracle().field(X.shape[:-1])
+        base = []
+
+        def marked(x, out):
+            if not base:
+                base.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            field(x, out)
+
+        tracemalloc.start()
+        try:
+            run(marked, X, n)
+            return tracemalloc.get_traced_memory()[1] - base[0]
+        finally:
+            tracemalloc.stop()
+
+    for run in (lambda f, X, n: rk4_final(f, X, n * INTERNAL_DT, n),
+                lambda f, X, n: rk4_record(f, X, INTERNAL_DT, n, n // 10)):
+        peak_over_base(run, small, 10)
+        assert (peak_over_base(run, small, 100)
+                == peak_over_base(run, small, 2000))
+        assert (peak_over_base(run, large, 100)
+                - peak_over_base(run, small, 100)) < large.nbytes - small.nbytes
+
+
+def test_packed_tangent_rhs_writes_its_fresh_bits_into_out(monkeypatch):
+    # rk4_flow_tangents' packed right-hand side, called with out, writes
+    # f(y) and J_f(y) V as computed into fresh arrays, whatever out held.
+    system = get_system("seir")
+    rng = np.random.default_rng(4)
+    model = SindyModel(system.library(), system.truth_matrix())
+    X = 0.5 + 0.3 * rng.random((5, 4))
+    rhs = []
+    real = integrate.rk4_final
+
+    def capture(f, *args):
+        rhs.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(integrate, "rk4_final", capture)
+    rk4_flow_tangents(model.field(X.shape[:-1]), model.h_jacobian, X,
+                      rng.normal(size=(5, 4, 3)), 0.3, 2)
+    z = rng.normal(size=(5, 4, 4))
+    want = np.concatenate([model.h(z[..., 0])[..., None],
+                           np.einsum("...ij,...jm->...im",
+                                     model.h_jacobian(z[..., 0]),
+                                     z[..., 1:])], axis=-1)
+    for fill in (np.nan, 0.0):
+        out = np.full_like(z, fill)
+        rhs[0](z, out)
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_rk4_flow_jvp_matches_finite_differences():

@@ -67,6 +67,71 @@ def test_symbolic_generator_matches_linear():
     assert not sym.is_linear
 
 
+def test_generators_write_their_fresh_bits_into_out():
+    # A generator is a field of the RK4 stepper: v(X, out) writes into out
+    # the bits v(X) returns fresh, linear or symbolic, for contiguous states
+    # and out and for strided ones like the state column of a packed
+    # tangent system.
+    rng = np.random.default_rng(12)
+    packed = rng.normal(size=(20, 2, 3))
+    for gen in (Generator.linear(ROTATION),
+                Generator.linear([[0.3, -1.2], [0.7, 0.1]]),
+                Generator.symbolic(("x1*x2", "-x1 + exp(x2)"), dim=2)):
+        for X in (packed[..., 0].copy(), packed[..., 0]):
+            want = gen(X)
+            for out in (np.full(X.shape, np.nan),
+                        np.full(X.shape + (3,), np.nan)[..., 0]):
+                assert gen(X, out) is out
+                np.testing.assert_array_equal(out.view(np.uint64),
+                                              want.view(np.uint64))
+
+
+@pytest.mark.parametrize("tangent", [False, True])
+def test_sensitivity_rhs_writes_its_fresh_bits_into_out(tangent,
+                                                        monkeypatch):
+    # The packed right-hand side of _flow_with_sensitivity, called with out,
+    # writes the bits of its terms computed into fresh arrays and packed
+    # [y, (delta,) Sy, (Sdelta)] per state component, whatever out held.
+    rng = np.random.default_rng(13)
+    model = oscillator_model()
+    lib, W = model.lib, model.W + 0.01 * rng.normal(size=model.W.shape)
+    (n, d), p, k = (6, 2), lib.size, 2 if tangent else 1
+    rhs = []
+    real = symmetry.rk4_final
+
+    def capture(f, *args):
+        rhs.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(symmetry, "rk4_final", capture)
+    X = rng.normal(size=(n, d))
+    symmetry._flow_with_sensitivity(W, lib, X, 0.1,
+                                    X[::-1] if tangent else None)
+    z = rng.normal(size=(n, d, k * (1 + p * d)))
+    y, S = z[..., 0], z[..., k:].reshape(n, d, k, p, d)
+    Th, Jth = lib.evaluate(y), lib.jacobian(y)
+    Jh = np.einsum("ip,npj->nij", W, Jth)
+    parts = [Th @ W.T]
+    sens = [symmetry._direct_term(Th, d)
+            + np.einsum("nij,njma->nima", Jh, S[:, :, 0])]
+    if tangent:
+        de = z[..., 1]
+        T = np.einsum("ip,npk->nik", W, lib.hessian_vp(y, de))
+        parts.append(np.einsum("nij,nj->ni", Jh, de))
+        sens.append(symmetry._direct_term(np.einsum("npj,nj->np", Jth, de),
+                                          d)
+                    + np.einsum("nik,nkma->nima", T, S[:, :, 0])
+                    + np.einsum("nij,njma->nima", Jh, S[:, :, 1]))
+    want = np.concatenate([np.stack(parts, axis=-1),
+                           np.stack(sens, axis=2).reshape(n, d, -1)],
+                          axis=-1)
+    for fill in (np.nan, 0.0):
+        out = np.full_like(z, fill)
+        rhs[0](z, out)
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      want.view(np.uint64))
+
+
 def test_generator_config_round_trip():
     for gen in (Generator.linear(ROTATION, label="rot"),
                 Generator.symbolic(("x2", "-x1"), dim=2, label="rot_sym")):
