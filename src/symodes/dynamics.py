@@ -374,9 +374,9 @@ def sample_initial(system, rng):
 # gives every series' log marginal likelihood through one multi-column solve
 # (the -m log sd term is added per series), and one factor of the inducing
 # kernel per chosen (ell, nf) gives the posterior mean of every series that
-# chose it, in which sd cancels.  The cross-kernel K1(t, t_inducing) is formed
-# SMOOTH_ROW_BLOCK rows at a time, so the n x SMOOTH_MAX_INDUCING matrix
-# (160 MB at 10,000 samples) is never held whole.
+# chose it, in which sd cancels.  What is held is one m x m kernel, built,
+# noised and factored in one buffer and dropped once solved, then one
+# SMOOTH_ROW_BLOCK-row block of K1(t, t_inducing) in one reused buffer.
 
 SMOOTH_LENGTHSCALE_FACTORS = (5.0, 10.0, 20.0, 50.0, 100.0)
 SMOOTH_NOISE_FACTORS = (1e-4, 0.7)
@@ -392,16 +392,24 @@ def _even_subset(n, k):
     return np.unique(np.linspace(0, n - 1, k).round().astype(int))
 
 
-def _se_kernel(ta, tb, ell):
-    diff = ta[:, None] - tb[None, :]
-    return np.exp(-0.5 * (diff / ell) ** 2)
+def _se_kernel(ta, tb, ell, out=None):
+    K = np.subtract.outer(ta, tb, out=out)
+    K /= ell
+    np.square(K, out=K)
+    K *= -0.5
+    return np.exp(K, out=K)
 
 
-def _chol_with_jitter(K):
+def _chol_with_jitter(K, noise, build):
+    """(lower cho_factor of build(K) + (noise + jit) I, jit) in K's buffer:
+    K is exactly symmetric, so K.T is K in Fortran order, factored uncopied."""
     for jit in (0.0, SMOOTH_JITTER, 1e-4):
+        build(K)
+        K.flat[::len(K) + 1] += noise
+        K.flat[::len(K) + 1] += jit
         try:
-            return scipy.linalg.cho_factor(
-                K + jit * np.eye(K.shape[0]), lower=True), jit
+            return scipy.linalg.cho_factor(K.T, lower=True,
+                                           overwrite_a=True), jit
         except scipy.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -424,12 +432,13 @@ def _select_hyperparameters(t, Ys, sd):
     k = len(sd)
     best_lml = np.full(k, -np.inf)
     best = np.full(k, -1)
-    cands = []
+    cands, work = [], np.empty((m, m))
     for lf in SMOOTH_LENGTHSCALE_FACTORS:
         K1 = _se_kernel(ts, ts, lf * dt)
         for nf in SMOOTH_NOISE_FACTORS:
             try:
-                cho, _ = _chol_with_jitter(K1 + nf ** 2 * np.eye(m))
+                cho, _ = _chol_with_jitter(work, nf ** 2,
+                                           lambda K: np.copyto(K, K1))
             except np.linalg.LinAlgError:
                 continue
             alpha = scipy.linalg.cho_solve(cho, Yc)
@@ -472,12 +481,14 @@ def gp_smooth_series(t, y):
         sel = np.flatnonzero(chosen == c)
         yi = Ys[sel][:, ind]
         mu_i = yi.mean(axis=1)
-        cho, jit = _chol_with_jitter(_se_kernel(ti, ti, ell)
-                                     + nf ** 2 * np.eye(len(ind)))
+        cho, jit = _chol_with_jitter(np.empty((len(ind),) * 2), nf ** 2,
+                                     lambda K: _se_kernel(ti, ti, ell, K))
         alpha = scipy.linalg.cho_solve(cho, (yi - mu_i[:, None]).T)
+        del cho    # the factor goes before the row blocks are built
+        block = np.empty((min(n, SMOOTH_ROW_BLOCK), len(ind)))
         for r in range(0, n, SMOOTH_ROW_BLOCK):
-            rows = slice(r, r + SMOOTH_ROW_BLOCK)
-            mean[rows, sel] = _se_kernel(t[rows], ti, ell) @ alpha + mu_i
+            Kr = _se_kernel(t[r:r + SMOOTH_ROW_BLOCK], ti, ell, block[:n - r])
+            mean[r:r + len(Kr), sel] = Kr @ alpha + mu_i
         for j in sel:
             infos[j] = {"lengthscale": ell, "signal": float(sd[j]),
                         "noise": nf * float(sd[j]), "lml": float(lml[j]),

@@ -33,6 +33,7 @@ import numpy as np
 from .expressions import Expr, expand, monomial
 
 COEFF_DROP_TOL = 1e-12
+THETA_ROW_BLOCK = 1024
 
 
 class NotInSpanError(ValueError):
@@ -79,8 +80,8 @@ class TermKey:
 class FunctionLibrary:
     """Ordered term basis with vectorized evaluation and derivatives.
 
-    Theta comes from a ThetaKernel: evaluate binds one to each call's
-    states, and dynamics.LinearField binds one for its whole lifetime.
+    Theta comes from a ThetaKernel: evaluate binds one to its row blocks,
+    and dynamics.LinearField binds one for its whole lifetime.
     """
 
     def __init__(self, dim, degree, include_exponentials=False):
@@ -123,26 +124,34 @@ class FunctionLibrary:
     # -- numerics --------------------------------------------------------
 
     def evaluate(self, X):
-        """Theta(X) for X of shape (..., d); returns a C-ordered (..., p)."""
-        X = np.asarray(X, dtype=float)
-        kernel = ThetaKernel(self, (X.size // self.dim,))
-        kernel.pad[1:] = X.reshape(-1, self.dim).T
-        theta = kernel()
-        del kernel  # the gathered factors go before the copy is made
-        return theta.T.copy().reshape(X.shape[:-1] + (self.size,))
+        """Theta(X) for X of shape (..., d); returns a C-ordered (..., p).
 
-    def jacobian(self, X):
-        """d Theta / dx, shape (..., p, d)."""
-        return self.evaluate(X)[..., self._jac_src] * self._jac_coef
+        Row blocks go through one kernel bound to their shape (a shorter
+        last block binds its own), so only the result is held whole."""
+        rows = np.asarray(X, dtype=float).reshape(-1, self.dim)
+        theta = np.empty((len(rows), self.size))
+        for r in range(0, len(rows), THETA_ROW_BLOCK):
+            block = rows[r:r + THETA_ROW_BLOCK]
+            if r == 0 or len(block) < THETA_ROW_BLOCK:
+                kernel = ThetaKernel(self, (len(block),))
+            kernel.pad[1:] = block.T
+            theta[r:r + len(block)] = kernel().T
+        return theta.reshape(np.shape(X)[:-1] + (self.size,))
 
-    def hessian_vp(self, X, U):
+    def jacobian(self, X, theta=None):
+        """d Theta / dx, shape (..., p, d); theta, if given, is Theta(X)."""
+        theta = self.evaluate(X) if theta is None else theta
+        return theta[..., self._jac_src] * self._jac_coef
+
+    def hessian_vp(self, X, U, theta=None):
         """Sum_j d^2 Theta / dx dx_j * U_j, shape (..., p, d).
 
         Entry (mu, k) is the k-th component of the Hessian of term mu applied
-        to the direction U at X.
+        to the direction U at X; theta is as in jacobian.
         """
         U = np.asarray(U, dtype=float)
-        H = self.evaluate(X)[..., self._hess_src] * self._hess_coef
+        theta = self.evaluate(X) if theta is None else theta
+        H = theta[..., self._hess_src] * self._hess_coef
         return (H * U[..., None, :, None]).sum(axis=-2)
 
     def _derivative_table(self, order):

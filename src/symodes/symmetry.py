@@ -381,7 +381,7 @@ def _flow_with_sensitivity(W, lib, X, tau, V0=None):
         v, out = split(z), split(dz)
         y, Sy = v[0], v[k]
         Th = lib.evaluate(y)
-        Jth = lib.jacobian(y)
+        Jth = lib.jacobian(y, Th)
         Jh = np.einsum("ip,npj->nij", W, Jth)
         out[0][...] = Th @ W.T
         out[k][...] = (_direct_term(Th, d)
@@ -389,7 +389,7 @@ def _flow_with_sensitivity(W, lib, X, tau, V0=None):
         if k == 2:
             de, Sd = v[1], v[3]
             out[1][...] = np.einsum("nij,nj->ni", Jh, de)
-            T = np.einsum("ip,npk->nik", W, lib.hessian_vp(y, de))
+            T = np.einsum("ip,npk->nik", W, lib.hessian_vp(y, de, Th))
             out[3][...] = (_direct_term(np.einsum("npj,nj->np", Jth, de), d)
                            + np.einsum("nik,nkma->nima", T, Sy)
                            + np.einsum("nij,njma->nima", Jh, Sd))
@@ -415,7 +415,7 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS):
 
     if kind == "igie":
         Th = lib.evaluate(X)
-        Jth = lib.jacobian(X)
+        Jth = lib.jacobian(X, Th)
         h = Th @ W.T
         for gen in generators:
             v, Jv = gen(X), gen.jacobian(X)

@@ -1,12 +1,18 @@
 """Registry systems, samplers, noise, smoothing, and dataset round trips."""
 
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from rk4_reference import rk4_step
 
-from symodes.dynamics import (INTERNAL_DT, SPLIT_NAMES, SYSTEMS, LinearField,
+from symodes import dynamics
+from symodes.dynamics import (INTERNAL_DT, SMOOTH_JITTER, SMOOTH_MAX_INDUCING,
+                              SMOOTH_NOISE_FACTORS, SMOOTH_ROW_BLOCK,
+                              SPLIT_NAMES, SYSTEMS, LinearField,
                               NoiseSpec, SindyModel, Trajectory,
                               differentiate_trajectory, estimate_derivatives,
                               get_system, gp_smooth, gp_smooth_series,
@@ -244,6 +250,109 @@ def test_shared_smoother_matches_one_series_at_a_time():
         assert np.abs(mean[:, j] - alone).max() <= 1e-12 * np.abs(alone).max()
         assert infos[j]["lengthscale"] == info["lengthscale"]
         assert infos[j]["noise"] == info["noise"]
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
+def test_smoother_kernel_is_built_in_place_with_the_reference_bits():
+    # Into a fresh array or a partial block of a reused buffer, the kernel
+    # has the bits of exp(-0.5 * (diff / ell) ** 2).
+    rng = np.random.default_rng(20)
+    ta = np.sort(rng.uniform(0.0, 30.0, 25))
+    tb = ta[::2]
+    want = np.exp(-0.5 * ((ta[:, None] - tb[None, :]) / 0.7) ** 2)
+    assert_same_bits(dynamics._se_kernel(ta, tb, 0.7), want)
+    block = np.full((40, len(tb)), np.nan)
+    got = dynamics._se_kernel(ta, tb, 0.7, out=block[:len(ta)])
+    assert np.shares_memory(got, block)
+    assert_same_bits(got, want)
+
+
+def test_smoother_factor_in_place_matches_a_factor_of_a_copy():
+    # K1 + nf^2 I factored in the buffer it is built in has the bits of
+    # cho_factor of a fresh sum, and the caller's K1 stays intact.
+    t = 0.05 * np.arange(300)
+    K1 = dynamics._se_kernel(t, t, 0.5)
+    K1_bits = K1.copy()
+    work = np.full_like(K1, np.nan)
+    for nf in SMOOTH_NOISE_FACTORS:
+        (c, lower), jit = dynamics._chol_with_jitter(
+            work, nf ** 2, lambda K: np.copyto(K, K1))
+        want = scipy.linalg.cho_factor(K1 + nf ** 2 * np.eye(len(t)),
+                                       lower=True)[0]
+        assert jit == 0.0 and lower and np.shares_memory(c, work)
+        assert_same_bits(c, want)
+    assert_same_bits(K1, K1_bits)
+
+
+def reference_posterior_mean(t, y, ell, nf, jit):
+    """The posterior mean with every kernel and sum in a fresh array."""
+    ind = dynamics._even_subset(len(t), SMOOTH_MAX_INDUCING)
+    ti, yi = t[ind], y[ind][None, :]
+    mu = yi.mean(axis=1)
+    K = np.exp(-0.5 * ((ti[:, None] - ti[None, :]) / ell) ** 2)
+    K = K + nf ** 2 * np.eye(len(ind)) + jit * np.eye(len(ind))
+    alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(K, lower=True),
+                                   (yi - mu[:, None]).T)
+    rows = [np.exp(-0.5 * ((t[r:r + SMOOTH_ROW_BLOCK, None] - ti[None, :])
+                           / ell) ** 2) @ alpha + mu
+            for r in range(0, len(t), SMOOTH_ROW_BLOCK)]
+    return np.concatenate(rows)[:, 0]
+
+
+@pytest.mark.parametrize("forced_retry", [False, True])
+def test_smoother_mean_matches_fresh_arrays(forced_retry, monkeypatch):
+    # 2,500 samples: 2,000 inducing points and row blocks of 1,000, 1,000
+    # and 500.  A forced retry fails the first inducing factorization after
+    # scribbling on its buffer, as a failed factorization does; the kernel
+    # is built again and the mean and info["jitter"] are those of
+    # K + SMOOTH_JITTER I.
+    cho_factor = scipy.linalg.cho_factor
+    failed = []
+
+    def flaky(a, **kwargs):
+        if forced_retry and not failed and len(a) == SMOOTH_MAX_INDUCING:
+            failed.append(True)
+            a[...] = np.nan
+            raise scipy.linalg.LinAlgError("forced")
+        return cho_factor(a, **kwargs)
+
+    monkeypatch.setattr(dynamics, "scipy", SimpleNamespace(
+        linalg=SimpleNamespace(cho_factor=flaky,
+                               cho_solve=scipy.linalg.cho_solve,
+                               LinAlgError=scipy.linalg.LinAlgError)))
+    t = 0.01 * np.arange(2500)
+    y = np.sin(t) + 0.2 * np.random.default_rng(21).normal(size=t.size)
+    mean, info = dynamics.gp_smooth_series(t, y)
+    assert failed == [True] * forced_retry
+    jit = SMOOTH_JITTER if forced_retry else 0.0
+    assert info["jitter"] == jit
+    nf = min(SMOOTH_NOISE_FACTORS,
+             key=lambda f: abs(f * info["signal"] - info["noise"]))
+    assert_same_bits(mean, reference_posterior_mean(
+        t, y, info["lengthscale"], nf, jit))
+
+
+def test_smoother_holds_one_inducing_kernel_at_a_time():
+    # tracemalloc sees numpy's buffers.  Each inducing kernel is built, given
+    # its noise and factored in one buffer, and dropped before the
+    # cross-kernel row blocks, which share one buffer: smoothing 4 series of
+    # 10,000 samples peaks at 1.25 times one 2000 x 2000 kernel above the
+    # inputs.
+    rng = np.random.default_rng(22)
+    t = 0.01 * np.arange(10_000)
+    y = np.stack([np.sin((1 + j) * t) + 0.1 * rng.normal(size=t.size)
+                  for j in range(4)], axis=1)
+    tracemalloc.start()
+    try:
+        dynamics.gp_smooth_series(t, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * SMOOTH_MAX_INDUCING ** 2
 
 
 def test_differentiate_trajectory_uses_smoothed_states():

@@ -1,14 +1,16 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from symodes.expressions import parse
-from symodes.library import (FunctionLibrary, NotInSpanError, TermKey,
-                             build_library, canonicalize, from_canonical,
-                             generator_structure_matrix, m_theta)
+from symodes.library import (THETA_ROW_BLOCK, FunctionLibrary, NotInSpanError,
+                             TermKey, build_library, canonicalize,
+                             from_canonical, generator_structure_matrix,
+                             m_theta)
 
 
 def test_term_order_and_count():
@@ -47,6 +49,36 @@ def test_evaluate_values_and_shapes():
     libe = build_library(2, 1, include_exponentials=True)
     row = libe.evaluate(np.array([1.0, -1.0]))
     np.testing.assert_allclose(row, [1.0, 1.0, -1.0, np.e, 1.0 / np.e])
+
+
+
+def test_row_blocked_evaluate_matches_each_row_alone():
+    # Theta is filled THETA_ROW_BLOCK rows at a time: three whole blocks and
+    # a shorter last one here.  Every row keeps the bits of its own call,
+    # for any batch shape.
+    lib = build_library(2, 3, include_exponentials=True)
+    X = np.random.default_rng(2).uniform(-2.0, 2.0,
+                                         size=(3 * THETA_ROW_BLOCK + 8, 2))
+    alone = np.stack([lib.evaluate(x) for x in X]).view(np.uint64)
+    np.testing.assert_array_equal(lib.evaluate(X).view(np.uint64), alone)
+    np.testing.assert_array_equal(
+        lib.evaluate(X.reshape(8, -1, 2)).reshape(len(X), -1).view(np.uint64),
+        alone)
+
+
+def test_evaluate_holds_only_its_result():
+    # tracemalloc sees numpy's buffers.  Neither the gathered factors nor a
+    # transposed copy of Theta is ever held whole, so evaluating 200,000
+    # rows peaks at 1.1 times the (N, p) result.
+    lib = build_library(2, 3)
+    X = np.random.default_rng(4).normal(size=(200_000, 2))
+    tracemalloc.start()
+    try:
+        theta = lib.evaluate(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * theta.nbytes
 
 
 def test_jacobian_against_finite_differences():

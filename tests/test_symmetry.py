@@ -275,9 +275,9 @@ def test_only_the_igfe_gradient_uses_second_derivatives(kind, monkeypatch):
     calls = []
     hessian_vp = FunctionLibrary.hessian_vp
 
-    def counted(self, X, U):
+    def counted(self, *args):
         calls.append(1)
-        return hessian_vp(self, X, U)
+        return hessian_vp(self, *args)
 
     monkeypatch.setattr(FunctionLibrary, "hessian_vp", counted)
     model = broken_model()
@@ -288,6 +288,52 @@ def test_only_the_igfe_gradient_uses_second_derivatives(kind, monkeypatch):
     assert len(calls) == 0
     symmetry_loss_grad(kind, model, gens, X, **kwargs)
     assert (len(calls) > 0) == (kind == "igfe")
+
+
+
+@pytest.mark.parametrize("kind", ["igie", "fgie", "igfe", "fgfe"])
+def test_loss_gradients_evaluate_theta_once_per_point_set(kind, monkeypatch):
+    # Jacobians and Hessian-vector products gather from the Theta their
+    # caller already holds: each call of a sensitivity flow's rhs evaluates
+    # Theta once, igie once at X, fgie once at X and once per g X, and
+    # (loss, grad) keep the bits of evaluating Theta anew for each.
+    rng = np.random.default_rng(19)
+    model = oscillator_model()
+    model = SindyModel(model.lib, model.W + 0.05 * rng.normal(
+        size=model.W.shape))
+    gens = [Generator.linear(ROTATION), Generator.linear(np.eye(2))]
+    X = rng.normal(size=(7, 2)) + 0.5
+    kwargs = {"tau": 0.2} if kind in ("igfe", "fgfe") else {}
+    evaluated, rhs_calls = [], []
+    evaluate, rk4_final = FunctionLibrary.evaluate, symmetry.rk4_final
+
+    def counted_evaluate(self, X):
+        evaluated.append(1)
+        return evaluate(self, X)
+
+    def counted_rk4_final(f, *args):
+        def rhs(z, dz):
+            rhs_calls.append(1)
+            f(z, dz)
+        return rk4_final(rhs, *args)
+
+    monkeypatch.setattr(FunctionLibrary, "evaluate", counted_evaluate)
+    monkeypatch.setattr(symmetry, "rk4_final", counted_rk4_final)
+    loss, grad = symmetry_loss_grad(kind, model, gens, X, **kwargs)
+    outside = {"igie": 1, "fgie": 1 + len(gens)}.get(kind, 0)
+    assert (kind in ("igfe", "fgfe")) == (len(rhs_calls) > 0)
+    assert len(evaluated) == len(rhs_calls) + outside
+
+    jacobian, hessian_vp = FunctionLibrary.jacobian, FunctionLibrary.hessian_vp
+    monkeypatch.setattr(FunctionLibrary, "jacobian",
+                        lambda self, X, theta=None: jacobian(self, X))
+    monkeypatch.setattr(FunctionLibrary, "hessian_vp",
+                        lambda self, X, U, theta=None: hessian_vp(self, X, U))
+    loss_anew, grad_anew = symmetry_loss_grad(kind, model, gens, X, **kwargs)
+    assert np.float64(loss).view(np.uint64) == \
+        np.float64(loss_anew).view(np.uint64)
+    np.testing.assert_array_equal(grad.view(np.uint64),
+                                  grad_anew.view(np.uint64))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
