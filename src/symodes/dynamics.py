@@ -5,8 +5,9 @@ conventions (initial-condition samplers, sampling rate, split sizes, noise
 model, sparsity threshold).  Trajectories are integrated with fixed-step RK4
 at a fine internal step and recorded at the coarser sampling interval; noisy
 observations are optionally denoised per dimension by a squared-exponential
-Gaussian-process smoother before derivatives are estimated with second-order
-finite differences.
+Gaussian-process smoother, whose lengthscale and noise level maximize each
+series' marginal likelihood through one eigendecomposition per lengthscale,
+before derivatives are estimated with second-order finite differences.
 
 Randomness is reproducible by construction: every trajectory owns an RNG
 stream seeded by SeedSequence((master_seed, trajectory_index)), with the
@@ -357,32 +358,32 @@ def sample_initial(system, rng):
 
 # -- Gaussian-process smoothing ------------------------------------------------
 #
-# Squared-exponential smoother with grid-searched hyperparameters.
-# Lengthscales are multiples of the sampling interval; the signal scale is the
-# series standard deviation and noise scales are multiples of it.  The noise
-# grid is deliberately two-point: a near-zero scale so that clean series are
-# reproduced essentially unchanged, and a conservative scale at 0.7 of the
-# series std so that heavily contaminated series are smoothed aggressively.
-# Hyperparameters maximize the log marginal likelihood on an evenly spaced
-# subsample of at most SMOOTH_MAX_TRAIN points; the posterior mean is then
-# evaluated on the full grid from at most SMOOTH_MAX_INDUCING conditioning
-# points.
+# Squared-exponential smoother whose hyperparameters maximize the log
+# marginal likelihood over a grid (GPML, Rasmussen & Williams 2006, Alg. 2.1
+# and section 5.4.1).  The signal scale is the series standard deviation sd,
+# the noise scale a factor nf of it on a dense log grid, and the lengthscale
+# a multiple of the spacing of one evenly spaced subset of at most
+# SMOOTH_MAX_TRAIN points, which both chooses the hyperparameters and
+# conditions the posterior mean on the full grid.
 #
-# Every series on one time grid shares its factorizations.  With signal scale
-# sd and noise factor nf the kernel is K = sd^2 (K1(ell) + nf^2 I), so sd
-# factors out: one Cholesky factor of K1 + nf^2 I per (ell, nf) candidate
-# gives every series' log marginal likelihood through one multi-column solve
-# (the -m log sd term is added per series), and one factor of the inducing
-# kernel per chosen (ell, nf) gives the posterior mean of every series that
-# chose it, in which sd cancels.  What is held is one m x m kernel, built,
-# noised and factored in one buffer and dropped once solved, then one
-# SMOOTH_ROW_BLOCK-row block of K1(t, t_inducing) in one reused buffer.
+# The series of one time grid share one eigendecomposition per lengthscale,
+# which makes the noise grid free.  K = sd^2 (K1(ell) + nf^2 I); with
+# K1 = U diag(lam) U^T and P = U^T y_c / sd for the centred series y_c, the
+# log marginal likelihood at any nf is -1/2 [sum P^2 / (lam + nf^2)
+# + sum log(lam + nf^2)] - m log sd - (m/2) log 2 pi, and the posterior
+# weights are alpha = U (P / (lam + nf^2)) sd.  Each series keeps its first
+# maximum in grid order (lengthscale, then noise).  What is held is one
+# m x m eigenbasis per lengthscale and one SMOOTH_ROW_BLOCK-row block of
+# K1(t, t_subset) in one reused buffer.
+#
+# A series' mean is taken on its own row, and its weights are solved and
+# multiplied out per chosen (ell, nf): at the clean end of the noise grid,
+# 1 / (lam + nf^2) amplifies a 1-ulp difference about 1e8 times, so a
+# series' bits may depend only on the other series that chose its (ell, nf).
 
-SMOOTH_LENGTHSCALE_FACTORS = (5.0, 10.0, 20.0, 50.0, 100.0)
-SMOOTH_NOISE_FACTORS = (1e-4, 0.7)
+SMOOTH_LENGTHSCALE_FACTORS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
+SMOOTH_NOISE_FACTORS = np.geomspace(1e-4, 1.0, 41)
 SMOOTH_MAX_TRAIN = 500
-SMOOTH_MAX_INDUCING = 2000
-SMOOTH_JITTER = 1e-8
 SMOOTH_ROW_BLOCK = 1000
 
 
@@ -398,60 +399,6 @@ def _se_kernel(ta, tb, ell, out=None):
     np.square(K, out=K)
     K *= -0.5
     return np.exp(K, out=K)
-
-
-def _chol_with_jitter(K, noise, build):
-    """(lower cho_factor of build(K) + (noise + jit) I, jit) in K's buffer:
-    K is exactly symmetric, so K.T is K in Fortran order, factored uncopied."""
-    for jit in (0.0, SMOOTH_JITTER, 1e-4):
-        build(K)
-        K.flat[::len(K) + 1] += noise
-        K.flat[::len(K) + 1] += jit
-        try:
-            return scipy.linalg.cho_factor(K.T, lower=True,
-                                           overwrite_a=True), jit
-        except scipy.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError(
-        "kernel matrix not positive definite even with jitter 1e-4")
-
-
-def _select_hyperparameters(t, Ys, sd):
-    """(lml, chosen, candidates, m) maximizing each series' marginal likelihood.
-
-    Ys holds one series per row on the grid t.  candidates lists the (ell, nf)
-    pairs that factorized, in grid order; chosen[i] indexes the first one at
-    which series i attains its maximum lml[i]; m is the training size.
-    """
-    dt = float(t[1] - t[0])
-    idx = _even_subset(len(t), SMOOTH_MAX_TRAIN)
-    ts, m = t[idx], len(idx)
-    ys = Ys[:, idx]
-    Yc = (ys - ys.mean(axis=1)[:, None]).T
-    log_sd = np.log(sd)
-    k = len(sd)
-    best_lml = np.full(k, -np.inf)
-    best = np.full(k, -1)
-    cands, work = [], np.empty((m, m))
-    for lf in SMOOTH_LENGTHSCALE_FACTORS:
-        K1 = _se_kernel(ts, ts, lf * dt)
-        for nf in SMOOTH_NOISE_FACTORS:
-            try:
-                cho, _ = _chol_with_jitter(work, nf ** 2,
-                                           lambda K: np.copyto(K, K1))
-            except np.linalg.LinAlgError:
-                continue
-            alpha = scipy.linalg.cho_solve(cho, Yc)
-            lml = (-0.5 * np.einsum("ij,ij->j", Yc, alpha) / sd ** 2
-                   - float(np.log(np.diag(cho[0])).sum()) - m * log_sd
-                   - 0.5 * m * np.log(2.0 * np.pi))
-            take = (best < 0) | (lml > best_lml)
-            best_lml[take] = lml[take]
-            best[take] = len(cands)
-            cands.append((lf * dt, nf))
-    if not cands:
-        raise np.linalg.LinAlgError("no hyperparameter candidate factorized")
-    return best_lml, best, cands, m
 
 
 def gp_smooth_series(t, y):
@@ -470,32 +417,42 @@ def gp_smooth_series(t, y):
     infos = [{"degenerate": True} for _ in range(k)]
     sd = Ys.std(axis=1)
     live = np.flatnonzero(sd != 0.0) if n >= 3 else np.arange(0)
-    lml, chosen = np.zeros(k), np.full(k, -1)
     if live.size:
-        lml[live], chosen[live], cands, m = _select_hyperparameters(
-            t, Ys[live], sd[live])
-    ind = _even_subset(n, SMOOTH_MAX_INDUCING)
-    ti = t[ind]
-    for c in np.unique(chosen[live]):
-        ell, nf = cands[c]
-        sel = np.flatnonzero(chosen == c)
-        yi = Ys[sel][:, ind]
-        mu_i = yi.mean(axis=1)
-        cho, jit = _chol_with_jitter(np.empty((len(ind),) * 2), nf ** 2,
-                                     lambda K: _se_kernel(ti, ti, ell, K))
-        alpha = scipy.linalg.cho_solve(cho, (yi - mu_i[:, None]).T)
-        del cho    # the factor goes before the row blocks are built
-        block = np.empty((min(n, SMOOTH_ROW_BLOCK), len(ind)))
-        for r in range(0, n, SMOOTH_ROW_BLOCK):
-            Kr = _se_kernel(t[r:r + SMOOTH_ROW_BLOCK], ti, ell, block[:n - r])
-            mean[r:r + len(Kr), sel] = Kr @ alpha + mu_i
-        for j in sel:
-            infos[j] = {"lengthscale": ell, "signal": float(sd[j]),
-                        "noise": nf * float(sd[j]), "lml": float(lml[j]),
-                        "jitter": jit, "n_train": m, "n_inducing": len(ind)}
-    if y.ndim == 1:
-        return mean[:, 0], infos[0]
-    return mean, infos
+        idx = _even_subset(n, SMOOTH_MAX_TRAIN)
+        ts, m, sd = t[idx], len(idx), sd[live]
+        ys = Ys[live][:, idx]
+        mu = np.array([row.mean() for row in ys])
+        Yc = ((ys - mu[:, None]) / sd[:, None]).T          # (m, live)
+        ells = [f * float(ts[1] - ts[0]) for f in SMOOTH_LENGTHSCALE_FACTORS]
+        nn = len(SMOOTH_NOISE_FACTORS)
+        bases, lml = [], []
+        for ell in ells:
+            lam, U = scipy.linalg.eigh(_se_kernel(ts, ts, ell),
+                                       overwrite_a=True)
+            lam = np.maximum(lam, 0.0)[:, None] + SMOOTH_NOISE_FACTORS ** 2
+            bases.append((lam, U))
+            lml.append(-0.5 * (np.square(U.T @ Yc).T @ (1.0 / lam)
+                               + np.log(lam).sum(axis=0)))
+        lml = np.hstack(lml)                        # (live, ell x noise)
+        chosen = lml.argmax(axis=1)
+        lml = lml.max(axis=1) - m * np.log(sd) - 0.5 * m * np.log(2 * np.pi)
+        block = np.empty((min(n, SMOOTH_ROW_BLOCK), m))
+        for e in np.unique(chosen // nn):
+            ell, (lam, U) = ells[e], bases[e]
+            cands = np.unique(chosen[chosen // nn == e])
+            groups = [np.flatnonzero(chosen == c) for c in cands]
+            alphas = [U @ ((U.T @ Yc[:, g]) / lam[:, [c % nn]]) * sd[g]
+                      for c, g in zip(cands, groups)]
+            for r in range(0, n, SMOOTH_ROW_BLOCK):
+                Kr = _se_kernel(t[r:r + SMOOTH_ROW_BLOCK], ts, ell,
+                                block[:n - r])
+                for g, alpha in zip(groups, alphas):
+                    mean[r:r + len(Kr), live[g]] = Kr @ alpha + mu[g]
+        for j, c, s, v in zip(live, chosen, sd, lml):
+            infos[j] = {"lengthscale": ells[c // nn], "signal": float(s),
+                        "noise": float(SMOOTH_NOISE_FACTORS[c % nn] * s),
+                        "lml": float(v), "n_train": m}
+    return (mean[:, 0], infos[0]) if y.ndim == 1 else (mean, infos)
 
 
 def gp_smooth(traj):
@@ -595,8 +552,8 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     and noisy states equal integrating it alone, bit for bit.
 
     Every series of the smoothed splits lies on one time grid, so they are
-    smoothed by a single gp_smooth_series call: each hyperparameter
-    candidate is factorized once for all of them (see the smoothing notes
+    smoothed by a single gp_smooth_series call: each lengthscale's kernel
+    is eigendecomposed once for all of them (see the smoothing notes
     above).  A series' smoothed states therefore match smoothing its
     trajectory alone up to BLAS summation order.
     """

@@ -149,12 +149,11 @@ def test_criterion_04_equivariance_of_materialized_models():
 
 
 def test_criterion_05_oscillator_success_bands(oscillator_benchmark):
-    # The sindy rate is reported, not asserted.  On this workload it is set
-    # by the GP smoother's bias at the start and end of each trajectory (the
-    # spurious x1*x2 terms come from there), not by the observation noise:
-    # unsmoothed data, or a noise grid that contains the injected level,
-    # lets sindy recover all 20 runs.  What is checked is the claim that the
-    # constraint never costs a recovery, on paired runs that share a dataset.
+    # The sindy rate is reported, not asserted.  With a noise grid that
+    # holds the injected level, the smoother leaves no spurious x1*x2 terms
+    # at the ends of the trajectories, and sindy recovers all 20 runs, as
+    # equiv-c does.  What is checked is the claim that the constraint never
+    # costs a recovery, on paired runs that share a dataset.
     report, elapsed, _ = oscillator_benchmark
     agg = report["aggregates"]
     equiv = agg["equiv-c"]["success"]["all"]

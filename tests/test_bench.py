@@ -496,34 +496,32 @@ def test_benchmark_hooks_find_every_patched_name():
 
 
 def test_benchmark_traces_the_shared_smoother():
-    # The smoother's per-layer metrics come from the dynamics.smooth and
-    # dynamics.cholesky spans.  One make_dataset is one smoother call, which
-    # factorizes at most once per (lengthscale, noise) candidate and once per
-    # candidate some series chose.
+    # The smoother's per-layer metrics come from the dynamics.smooth span.
+    # One make_dataset is one smoother call, which takes one eigh per
+    # lengthscale for all its series and factorizes nothing by Cholesky;
+    # eigh is counted through dynamics' own scipy global, as perfbench
+    # traces cho_factor.
     from symodes import bench, dynamics
 
     tracer, T, triples = perfbench_hooks()
-    infos = []
+    eighs = []
 
-    def keep_infos(fn):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            infos.append(out[1])
-            return out
-        return wrapped
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return scipy.linalg.eigh(*args, **kwargs)
 
-    triples = [(o, a, keep_infos(v) if (o, a) == (dynamics, "gp_smooth_series")
-                else v) for o, a, v in triples]
+    def overlay(v):
+        return tracer.Overlay(v, linalg=tracer.Overlay(v.linalg,
+                                                       eigh=counted_eigh))
+
+    triples = [(o, a, overlay(v) if (o, a) == (dynamics, "scipy") else v)
+               for o, a, v in triples]
     with tracer.patched(triples):
         bench.make_dataset("oscillator", 3, n_samples=40, counts=(4, 2, 1))
     S = T.summary()
-    assert S["dynamics.smooth"]["calls"] == 1 == len(infos)
-    candidates = (len(dynamics.SMOOTH_LENGTHSCALE_FACTORS)
-                  * len(dynamics.SMOOTH_NOISE_FACTORS))
-    chosen = {(i["lengthscale"], round(i["noise"] / i["signal"], 9))
-              for i in infos[0]}
-    assert len(infos[0]) == 12
-    assert 0 < S["dynamics.cholesky"]["calls"] <= candidates + len(chosen)
+    assert S["dynamics.smooth"]["calls"] == 1
+    assert S["dynamics.cholesky"]["calls"] == 0
+    assert len(eighs) == len(dynamics.SMOOTH_LENGTHSCALE_FACTORS)
     assert S["dynamics.differentiate"]["calls"] == 6
 
 

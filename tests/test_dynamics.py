@@ -2,7 +2,6 @@
 
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +9,8 @@ import scipy.linalg
 from rk4_reference import rk4_step
 
 from symodes import dynamics
-from symodes.dynamics import (INTERNAL_DT, SMOOTH_JITTER, SMOOTH_MAX_INDUCING,
-                              SMOOTH_NOISE_FACTORS, SMOOTH_ROW_BLOCK,
+from symodes.dynamics import (INTERNAL_DT, SMOOTH_LENGTHSCALE_FACTORS,
+                              SMOOTH_MAX_TRAIN, SMOOTH_ROW_BLOCK,
                               SPLIT_NAMES, SYSTEMS, LinearField,
                               NoiseSpec, SindyModel, Trajectory,
                               differentiate_trajectory, estimate_derivatives,
@@ -242,7 +241,7 @@ def test_shared_smoother_matches_one_series_at_a_time():
     mean, infos = gp_smooth_series(traj.times, Y)
     assert mean.shape == Y.shape and len(infos) == 3
     assert infos[0]["noise"] == pytest.approx(1e-4 * clean.std(), rel=1e-12)
-    assert infos[1]["noise"] == pytest.approx(0.7 * noisy.std(), rel=1e-12)
+    assert 0.1 * noisy.std() <= infos[1]["noise"] <= 0.3 * noisy.std()
     assert infos[2] == {"degenerate": True}
     np.testing.assert_array_equal(mean[:, 2], Y[:, 2])
     for j in range(2):
@@ -271,77 +270,45 @@ def test_smoother_kernel_is_built_in_place_with_the_reference_bits():
     assert_same_bits(got, want)
 
 
-def test_smoother_factor_in_place_matches_a_factor_of_a_copy():
-    # K1 + nf^2 I factored in the buffer it is built in has the bits of
-    # cho_factor of a fresh sum, and the caller's K1 stays intact.
-    t = 0.05 * np.arange(300)
-    K1 = dynamics._se_kernel(t, t, 0.5)
-    K1_bits = K1.copy()
-    work = np.full_like(K1, np.nan)
-    for nf in SMOOTH_NOISE_FACTORS:
-        (c, lower), jit = dynamics._chol_with_jitter(
-            work, nf ** 2, lambda K: np.copyto(K, K1))
-        want = scipy.linalg.cho_factor(K1 + nf ** 2 * np.eye(len(t)),
-                                       lower=True)[0]
-        assert jit == 0.0 and lower and np.shares_memory(c, work)
-        assert_same_bits(c, want)
-    assert_same_bits(K1, K1_bits)
-
-
-def reference_posterior_mean(t, y, ell, nf, jit):
-    """The posterior mean with every kernel and sum in a fresh array."""
-    ind = dynamics._even_subset(len(t), SMOOTH_MAX_INDUCING)
-    ti, yi = t[ind], y[ind][None, :]
-    mu = yi.mean(axis=1)
-    K = np.exp(-0.5 * ((ti[:, None] - ti[None, :]) / ell) ** 2)
-    K = K + nf ** 2 * np.eye(len(ind)) + jit * np.eye(len(ind))
-    alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(K, lower=True),
-                                   (yi - mu[:, None]).T)
-    rows = [np.exp(-0.5 * ((t[r:r + SMOOTH_ROW_BLOCK, None] - ti[None, :])
-                           / ell) ** 2) @ alpha + mu
-            for r in range(0, len(t), SMOOTH_ROW_BLOCK)]
-    return np.concatenate(rows)[:, 0]
-
-
-@pytest.mark.parametrize("forced_retry", [False, True])
-def test_smoother_mean_matches_fresh_arrays(forced_retry, monkeypatch):
-    # 2,500 samples: 2,000 inducing points and row blocks of 1,000, 1,000
-    # and 500.  A forced retry fails the first inducing factorization after
-    # scribbling on its buffer, as a failed factorization does; the kernel
-    # is built again and the mean and info["jitter"] are those of
-    # K + SMOOTH_JITTER I.
-    cho_factor = scipy.linalg.cho_factor
-    failed = []
-
-    def flaky(a, **kwargs):
-        if forced_retry and not failed and len(a) == SMOOTH_MAX_INDUCING:
-            failed.append(True)
-            a[...] = np.nan
-            raise scipy.linalg.LinAlgError("forced")
-        return cho_factor(a, **kwargs)
-
-    monkeypatch.setattr(dynamics, "scipy", SimpleNamespace(
-        linalg=SimpleNamespace(cho_factor=flaky,
-                               cho_solve=scipy.linalg.cho_solve,
-                               LinAlgError=scipy.linalg.LinAlgError)))
+@pytest.mark.parametrize("in_batch", [False, True])
+def test_smoother_mean_matches_fresh_arrays(in_batch):
+    # 2,500 samples: a 500-point subset and row blocks of 1,000, 1,000 and
+    # 500.  At the chosen hyperparameters, the mean and the log marginal
+    # likelihood are those of GPML Alg. 2.1 on the same subset, with the
+    # kernel sd^2 K1 + (nf sd)^2 I factored by Cholesky in fresh arrays.
+    # In a batch the series shares its eigenbases with a second, noisier
+    # series and is the first column of one call.
     t = 0.01 * np.arange(2500)
-    y = np.sin(t) + 0.2 * np.random.default_rng(21).normal(size=t.size)
-    mean, info = dynamics.gp_smooth_series(t, y)
-    assert failed == [True] * forced_retry
-    jit = SMOOTH_JITTER if forced_retry else 0.0
-    assert info["jitter"] == jit
-    nf = min(SMOOTH_NOISE_FACTORS,
-             key=lambda f: abs(f * info["signal"] - info["noise"]))
-    assert_same_bits(mean, reference_posterior_mean(
-        t, y, info["lengthscale"], nf, jit))
+    rng = np.random.default_rng(21)
+    y = np.sin(t) + 0.2 * rng.normal(size=t.size)
+    if in_batch:
+        other = np.cos(3 * t) + 0.5 * rng.normal(size=t.size)
+        means, infos = dynamics.gp_smooth_series(t, np.column_stack([y, other]))
+        mean, info = means[:, 0], infos[0]
+    else:
+        mean, info = dynamics.gp_smooth_series(t, y)
+    idx = dynamics._even_subset(len(t), SMOOTH_MAX_TRAIN)
+    assert info["n_train"] == len(idx) == SMOOTH_MAX_TRAIN
+    ts, yc = t[idx], y[idx] - y[idx].mean()
+    ell, sd, noise = info["lengthscale"], info["signal"], info["noise"]
+    K = sd ** 2 * np.exp(-0.5 * ((ts[:, None] - ts[None, :]) / ell) ** 2)
+    cho = scipy.linalg.cho_factor(K + noise ** 2 * np.eye(len(ts)),
+                                  lower=True)
+    alpha = scipy.linalg.cho_solve(cho, yc)
+    lml = (-0.5 * yc @ alpha - np.log(np.diag(cho[0])).sum()
+           - 0.5 * len(ts) * np.log(2.0 * np.pi))
+    Ks = sd ** 2 * np.exp(-0.5 * ((t[:, None] - ts[None, :]) / ell) ** 2)
+    want = Ks @ alpha + y[idx].mean()
+    assert np.abs(mean - want).max() <= 1e-10 * np.abs(want).max()
+    assert info["lml"] == pytest.approx(lml, rel=1e-10)
 
 
 def test_smoother_holds_one_inducing_kernel_at_a_time():
-    # tracemalloc sees numpy's buffers.  Each inducing kernel is built, given
-    # its noise and factored in one buffer, and dropped before the
-    # cross-kernel row blocks, which share one buffer: smoothing 4 series of
-    # 10,000 samples peaks at 1.25 times one 2000 x 2000 kernel above the
-    # inputs.
+    # tracemalloc sees numpy's buffers.  The 500-point subset is the one
+    # conditioning set; what is held is its kernel's eigenbasis per
+    # lengthscale and one row block of the cross-kernel in one reused
+    # buffer: smoothing 4 series of 10,000 samples peaks below the bases,
+    # two more subset kernels and the block, 20 MB.
     rng = np.random.default_rng(22)
     t = 0.01 * np.arange(10_000)
     y = np.stack([np.sin((1 + j) * t) + 0.1 * rng.normal(size=t.size)
@@ -352,7 +319,9 @@ def test_smoother_holds_one_inducing_kernel_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * SMOOTH_MAX_INDUCING ** 2
+    m = SMOOTH_MAX_TRAIN
+    assert peak <= 8 * ((len(SMOOTH_LENGTHSCALE_FACTORS) + 2) * m * m
+                        + SMOOTH_ROW_BLOCK * m)
 
 
 def test_differentiate_trajectory_uses_smoothed_states():
@@ -621,6 +590,41 @@ def test_lotka_volterra_dataset_smoothing_beats_raw():
         raw = np.sqrt(np.mean((tr.states - tr.clean_states) ** 2, axis=0))
         assert (smooth < raw).all(), (tr.seed, smooth, raw)
     assert all(tr.smoothed is None for tr in ds.test)
+
+
+def test_oscillator_dataset_smoothing_beats_raw_on_every_series():
+    # The noise grid holds the injected 0.2 sd, so no series is smoothed
+    # past its signal: every train and val series lands closer to its
+    # clean states than the raw observations.
+    ds = make_dataset("oscillator", 0)
+    for tr in ds.train + ds.val:
+        smooth = np.sqrt(np.mean((tr.smoothed - tr.clean_states) ** 2, axis=0))
+        raw = np.sqrt(np.mean((tr.states - tr.clean_states) ** 2, axis=0))
+        assert (smooth < raw).all(), (tr.seed, smooth, raw)
+
+
+def test_growth_dataset_smoothing_beats_raw():
+    # Multiplicative 5% noise: the smoothed train states are closer to the
+    # clean states than the raw ones, summed over the split.
+    ds = make_dataset("growth", 0)
+    smooth = sum(np.sum((tr.smoothed - tr.clean_states) ** 2)
+                 for tr in ds.train)
+    raw = sum(np.sum((tr.states - tr.clean_states) ** 2) for tr in ds.train)
+    assert smooth < raw
+
+
+def test_glycolytic_derivative_error_against_the_oracle():
+    # Long series at dt = 0.002: the lengthscale grid follows the subset's
+    # spacing, so it reaches the time scale of the dynamics.  Mean over
+    # series of RMS(derivative - true field) / sd(true field).
+    sys = get_system("glycolytic")
+    ds = make_dataset(sys, 0, counts=(2, 0, 0))
+    errs = []
+    for tr in ds.train:
+        true = sys.oracle().h(tr.clean_states)
+        rms = np.sqrt(np.mean((tr.derivs - true) ** 2, axis=0))
+        errs.extend(rms / true.std(axis=0))
+    assert np.mean(errs) <= 0.25
 
 
 def test_make_dataset_rejects_incompatible_dt():
