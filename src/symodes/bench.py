@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__ as _tool_version
-from .discover import (DiscoveryConfig, GpResult, equiv_c_fit, equiv_r_fit,
-                       gp_fit, stlsq)
+from .discover import (DiscoveryConfig, GpResult, design, equiv_c_fit,
+                       equiv_r_fit, gp_fit, stlsq)
 from .dynamics import (INTERNAL_DT, LinearField, NoiseSpec, SindyModel,
                        get_system, make_dataset)
 from .integrate import rk4_final
@@ -253,8 +253,7 @@ class BenchConfig:
 
 def _fit_method(method, ds, lib, gens, dcfg):
     if method == "sindy":
-        X, dX = ds.regression_arrays("train")
-        W = stlsq(lib.evaluate(X), dX, dcfg.threshold)
+        W = stlsq(*design(ds, lib)[:2], dcfg.threshold)
         return SindyModel(lib, W, provenance={"method": "sindy"})
     if method == "equiv-c":
         return equiv_c_fit(ds, lib, gens, dcfg)

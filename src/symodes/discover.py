@@ -24,10 +24,10 @@ Dataset or an (X, dX) pair:
                      Generator's own draws at a third of the overhead.
 
 The three W-linear fitters share one sequential-thresholding loop and
-one QR of [Theta, dX] per fit, after which the data term's cost does not
-depend on the row count.  SindyModel lives in dynamics, where it also
-serves as the registry systems' true dynamics.  All fitters are
-deterministic given (data, config, seed).
+one in-place QR of the design buffer [Theta | dX] per fit, after which the
+data term's cost does not depend on the row count.  SindyModel lives in
+dynamics, where it also serves as the registry systems' true dynamics.
+All fitters are deterministic given (data, config, seed).
 """
 
 from __future__ import annotations
@@ -108,13 +108,37 @@ def _validation_data(dataset):
 def _reduce(Theta, dX):
     """(R, B, rss, N): ||dX - Theta W^T||^2 = ||B - R W^T||^2 + rss for all W.
 
-    One R-only QR of [Theta, dX], zero-padded below p + d rows: R and B are
-    its (p, p) and (p, d) blocks, rss the squared norm of its (d, d) corner.
+    One in-place LAPACK dgeqrf, without Q, of the Fortran-ordered buffer
+    A = [Theta | dX]: the one design() built them in, else a new one holding
+    copies.  R, B and rss are the (p, p), (p, d) and squared (d, d) blocks
+    of its factor, zero-padded below p + d rows.
     """
     N, p = np.shape(Theta)
-    T = np.linalg.qr(np.hstack([Theta, dX]), mode="r")
-    T = np.vstack([T, np.zeros((T.shape[1] - T.shape[0], T.shape[1]))])
+    A = getattr(Theta, "base", None)
+    if not (isinstance(A, np.ndarray) and A.flags.f_contiguous and [
+            v.__array_interface__ for v in (Theta, dX)] == [
+            v.__array_interface__ for v in (A[:, :p], A[:, p:])]):
+        A = np.empty((N, p + np.shape(dX)[1]), order="F")
+        A[:, :p], A[:, p:] = Theta, dX
+    n = A.shape[1]
+    lapack = scipy.linalg.lapack            # loaded with scipy.optimize
+    qr, _, _, info = lapack.dgeqrf(A, lwork=int(lapack.dgeqrf_lwork(N, n)[0]),
+                                   overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    T = np.zeros((n, n))
+    T[:min(N, n)] = np.triu(qr[:n])
     return T[:p, :p], T[:p, p:], float((T[p:, p:] ** 2).sum()), N
+
+
+def design(dataset, lib):
+    """(Theta, dX, X) of a Dataset or (X, dX) pair, Theta = lib(X) built in
+    place: Theta and dX are the column blocks of one buffer for _reduce."""
+    X, dX = _regression_data(dataset)
+    A = np.empty((len(X), lib.size + dX.shape[1]), order="F")
+    A[:, lib.size:] = dX
+    del dX                                  # Theta fills in beside X alone
+    return lib.evaluate(X, out=A[:, :lib.size]), A[:, lib.size:], X
 
 
 def _threshold_rounds(fit, shape, threshold):
@@ -165,7 +189,8 @@ def _basis_rounds(Theta, dX, basis, threshold):
 
 
 def stlsq(Theta, dX, threshold):
-    """Sequentially thresholded lstsq of dX ~ Theta W^T on one _reduce."""
+    """Sequentially thresholded lstsq of dX ~ Theta W^T on one _reduce
+    (which overwrites a Theta and dX from design())."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     dX = np.reshape(dX, (len(Theta), -1))
@@ -186,7 +211,6 @@ def equiv_c_fit(dataset, lib, gens, cfg=None):
     collapsed nullspace returns W = 0.
     """
     cfg = cfg or DiscoveryConfig()
-    X, dX = _regression_data(dataset)
     nullities = []
 
     def basis(active):
@@ -194,7 +218,8 @@ def equiv_c_fit(dataset, lib, gens, cfg=None):
         nullities.append(Q.shape[1])
         return Q
 
-    W, active = _basis_rounds(lib.evaluate(X), dX, basis, cfg.threshold)
+    W, active = _basis_rounds(*design(dataset, lib)[:2], basis,
+                              cfg.threshold)
     pins = [(int(i), int(mu)) for i, mu in np.argwhere(~active)]
     prov = {"method": "equiv-c", "nullities": nullities, "pins": pins,
             "threshold": cfg.threshold}
@@ -297,8 +322,9 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
     benchmark refuse equiv-r without a generator.
     """
     cfg = cfg or DiscoveryConfig()
-    X, dX = _regression_data(dataset)
-    reduced = _reduce(lib.evaluate(X), dX)
+    Theta, dX, X = design(dataset, lib)
+    reduced = _reduce(Theta, dX)
+    del Theta, dX
     rng = split_rng(cfg.seed, 0)
     nb = min(EQUIV_R_PENALTY_POINTS, X.shape[0])
     Xb = X[rng.choice(X.shape[0], size=nb, replace=False)]

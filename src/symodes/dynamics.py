@@ -372,9 +372,9 @@ def sample_initial(system, rng):
 # log marginal likelihood at any nf is -1/2 [sum P^2 / (lam + nf^2)
 # + sum log(lam + nf^2)] - m log sd - (m/2) log 2 pi, and the posterior
 # weights are alpha = U (P / (lam + nf^2)) sd.  Each series keeps its first
-# maximum in grid order (lengthscale, then noise).  What is held is one
-# m x m eigenbasis per lengthscale and one SMOOTH_ROW_BLOCK-row block of
-# K1(t, t_subset) in one reused buffer.
+# maximum in grid order (lengthscale, then noise).  An m x m eigenbasis is
+# held only while some series' maximum so far lies on its lengthscale, and
+# one SMOOTH_ROW_BLOCK-row block of K1(t, t_subset) in one reused buffer.
 #
 # A series' mean is taken on its own row, and its weights are solved and
 # multiplied out per chosen (ell, nf): at the clean end of the noise grid,
@@ -420,22 +420,26 @@ def gp_smooth_series(t, y):
     if live.size:
         idx = _even_subset(n, SMOOTH_MAX_TRAIN)
         ts, m, sd = t[idx], len(idx), sd[live]
-        ys = Ys[live][:, idx]
+        ys = Ys[np.ix_(live, idx)]
+        del Ys                              # the subset is all that is read
         mu = np.array([row.mean() for row in ys])
         Yc = ((ys - mu[:, None]) / sd[:, None]).T          # (m, live)
         ells = [f * float(ts[1] - ts[0]) for f in SMOOTH_LENGTHSCALE_FACTORS]
         nn = len(SMOOTH_NOISE_FACTORS)
-        bases, lml = [], []
-        for ell in ells:
+        bases, chosen, best = {}, 0, 0.0
+        for e, ell in enumerate(ells):
             lam, U = scipy.linalg.eigh(_se_kernel(ts, ts, ell),
                                        overwrite_a=True)
             lam = np.maximum(lam, 0.0)[:, None] + SMOOTH_NOISE_FACTORS ** 2
-            bases.append((lam, U))
-            lml.append(-0.5 * (np.square(U.T @ Yc).T @ (1.0 / lam)
-                               + np.log(lam).sum(axis=0)))
-        lml = np.hstack(lml)                        # (live, ell x noise)
-        chosen = lml.argmax(axis=1)
-        lml = lml.max(axis=1) - m * np.log(sd) - 0.5 * m * np.log(2 * np.pi)
+            lml = -0.5 * (np.square(U.T @ Yc).T @ (1.0 / lam)
+                          + np.log(lam).sum(axis=0))     # (live, noise)
+            up = (lml.max(axis=1) > best) | (e == 0)     # first maximum
+            chosen = np.where(up, e * nn + lml.argmax(axis=1), chosen)
+            best = np.where(up, lml.max(axis=1), best)
+            bases[e] = lam, U
+            del lam, U                      # a dropped basis goes now
+            bases = {j: bases[j] for j in np.unique(chosen // nn)}
+        lml = best - m * np.log(sd) - 0.5 * m * np.log(2 * np.pi)
         block = np.empty((min(n, SMOOTH_ROW_BLOCK), m))
         for e in np.unique(chosen // nn):
             ell, (lam, U) = ells[e], bases[e]

@@ -123,13 +123,14 @@ class FunctionLibrary:
 
     # -- numerics --------------------------------------------------------
 
-    def evaluate(self, X):
+    def evaluate(self, X, out=None):
         """Theta(X) for X of shape (..., d); returns a C-ordered (..., p).
 
         Row blocks go through one kernel bound to their shape (a shorter
-        last block binds its own), so only the result is held whole."""
+        last block binds its own), so only the result is held whole; an
+        (N, p) out of any strides, for X of shape (N, d), is filled instead."""
         rows = np.asarray(X, dtype=float).reshape(-1, self.dim)
-        theta = np.empty((len(rows), self.size))
+        theta = np.empty((len(rows), self.size)) if out is None else out
         for r in range(0, len(rows), THETA_ROW_BLOCK):
             block = rows[r:r + THETA_ROW_BLOCK]
             if r == 0 or len(block) < THETA_ROW_BLOCK:

@@ -1,5 +1,7 @@
 """Sparse regression, constrained and regularized fits, and the GP engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from symodes.discover import (DiscoveryConfig, GpConfig, SindyModel,
                               equation_strings, equiv_c_fit, equiv_r_fit,
                               gp_candidate_fitness, gp_evaluate,
                               gp_fitness_points, gp_penalty_data, gp_fit,
-                              refit_constants, stlsq)
+                              design, refit_constants, stlsq)
 from symodes.dynamics import get_system, split_rng
 from symodes.expressions import Expr, parse, to_string
 from symodes.library import build_library
@@ -138,6 +140,71 @@ def test_reduction_preserves_the_squared_residual(N, p, d, twin):
         full = float(((dX - Theta @ W.T) ** 2).sum())
         reduced = float(((B - R @ W.T) ** 2).sum()) + rss
         assert abs(reduced - full) <= 1e-12 * full
+
+
+def registry_training_data(name):
+    from symodes.dynamics import make_dataset
+
+    sys = get_system(name)
+    counts = (2 if name == "lotka_volterra" else sys.data.n_train, 0, 0)
+    X, dX = make_dataset(name, seed=0, counts=counts).regression_arrays()
+    return sys.library(), X, dX
+
+
+@pytest.mark.parametrize("case", [
+    "oscillator", "growth", "lotka_volterra", "glycolytic", "seir",
+    "underdetermined", "wide"])
+def test_reduce_matches_the_numpy_qr_reference_bit_for_bit(case):
+    # The dgeqrf of the design buffer is the factorization np.linalg.qr
+    # (mode="r") runs on its own copy: R, B and rss keep their bits, whether
+    # _reduce copies Theta and dX or factors design()'s buffer in place.
+    # "underdetermined" has N < p + d rows; "wide" has 35 + 4 > 32
+    # columns, more than one of dgeqrf's column blocks.
+    rng = np.random.default_rng(9)
+    if case == "underdetermined":
+        lib, X = build_library(2, 2), rng.normal(size=(5, 2))
+        dX = rng.normal(size=(5, 2))
+    elif case == "wide":
+        lib, X = build_library(4, 3), rng.uniform(-1.0, 1.0, size=(3000, 4))
+        dX = rng.normal(size=(3000, 4))
+    else:
+        lib, X, dX = registry_training_data(case)
+    Theta = lib.evaluate(X)
+    N, p = Theta.shape
+    T = np.linalg.qr(np.hstack([Theta, dX]), mode="r")
+    T = np.vstack([T, np.zeros((T.shape[1] - T.shape[0], T.shape[1]))])
+    want = (T[:p, :p].tobytes(), T[:p, p:].tobytes(),
+            float((T[p:, p:] ** 2).sum()), N)
+    in_place = design((X, dX), lib)[:2]
+    assert in_place[0].tobytes() == Theta.tobytes()
+    for Th, dXh in ((Theta, dX), in_place):
+        R, B, rss, n = discover._reduce(Th, dXh)
+        assert (R.tobytes(), B.tobytes(), rss, n) == want
+    assert in_place[0].tobytes() != Theta.tobytes()    # factored in place
+
+
+@pytest.mark.parametrize("fit", ["sindy", "equiv-c"])
+def test_fit_holds_one_design_buffer(fit):
+    # tracemalloc sees numpy's buffers.  Theta is built inside the
+    # (N, p + d) buffer that dgeqrf factors in place, so fitting 200,000
+    # rows of the degree-3 library on the dataset path peaks at 1.1 times
+    # that buffer beyond the caller's X and dX.
+    sys = get_system("oscillator")
+    lib = build_library(2, 3)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(200_000, 2))
+    dX = rng.normal(size=X.shape)
+    tracemalloc.start()
+    try:
+        if fit == "sindy":
+            W = stlsq(*design((X, dX), lib)[:2], threshold=0.05)
+        else:
+            W = equiv_c_fit((X, dX), lib, sys.generators).W
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.shape == (2, lib.size)
+    assert peak <= 1.1 * 8 * len(X) * (lib.size + 2)
 
 
 @pytest.mark.parametrize("name, seed", [

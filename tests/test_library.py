@@ -81,6 +81,23 @@ def test_evaluate_holds_only_its_result():
     assert peak <= 1.1 * theta.nbytes
 
 
+@pytest.mark.parametrize("lib", [
+    build_library(2, 3), build_library(3, 2, include_exponentials=True)],
+    ids=repr)
+def test_evaluate_into_a_fortran_column_view_gives_the_fresh_bits(lib):
+    # discover writes Theta into the first p columns of an F-ordered
+    # [Theta | dX] buffer; the rows span two full blocks and a short one.
+    X = np.random.default_rng(6).uniform(-1.5, 1.5,
+                                         size=(2 * THETA_ROW_BLOCK + 37,
+                                               lib.dim))
+    A = np.full((len(X), lib.size + 2), np.nan, order="F")
+    got = lib.evaluate(X, out=A[:, :lib.size])
+    assert np.shares_memory(got, A)
+    np.testing.assert_array_equal(A[:, :lib.size].view(np.uint64),
+                                  lib.evaluate(X).view(np.uint64))
+    assert np.isnan(A[:, lib.size:]).all()
+
+
 def test_jacobian_against_finite_differences():
     rng = np.random.default_rng(3)
     for lib in (build_library(2, 2), build_library(3, 3),
