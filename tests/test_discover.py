@@ -158,8 +158,10 @@ def test_reduce_matches_the_numpy_qr_reference_bit_for_bit(case):
     # The dgeqrf of the design buffer is the factorization np.linalg.qr
     # (mode="r") runs on its own copy: R, B and rss keep their bits, whether
     # _reduce copies Theta and dX or factors design()'s buffer in place.
-    # "underdetermined" has N < p + d rows; "wide" has 35 + 4 > 32
-    # columns, more than one of dgeqrf's column blocks.
+    # "underdetermined" has N < p + d rows; "wide" has 35 + 4 columns, more
+    # than dgeqrf's block of 32.  Up to 128 columns LAPACK factors without
+    # blocking; wider designs may differ from numpy's in the last bit, since
+    # numpy and scipy bring their own OpenBLAS builds.
     rng = np.random.default_rng(9)
     if case == "underdetermined":
         lib, X = build_library(2, 2), rng.normal(size=(5, 2))
