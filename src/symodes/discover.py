@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
+import scipy
 
 from .constraint import assemble_equivariant_basis, unvec
 # equation_strings is re-exported: callers import it with SindyModel
@@ -111,7 +111,10 @@ def _reduce(Theta, dX):
     One in-place LAPACK dgeqrf, without Q, of the Fortran-ordered buffer
     A = [Theta | dX]: the one design() built them in, else a new one holding
     copies.  R, B and rss are the (p, p), (p, d) and squared (d, d) blocks
-    of its factor, zero-padded below p + d rows.
+    of its factor, zero-padded below p + d rows.  Up to LAPACK's blocking
+    crossover (NX = 128 columns) they match np.linalg.qr bit for bit; wider
+    designs take dgeqrf's blocked GEMM path, whose last bits depend on the
+    OpenBLAS build, and agree to about 1e-16 of max |R|.
     """
     N, p = np.shape(Theta)
     A = getattr(Theta, "base", None)
@@ -121,7 +124,7 @@ def _reduce(Theta, dX):
         A = np.empty((N, p + np.shape(dX)[1]), order="F")
         A[:, :p], A[:, p:] = Theta, dX
     n = A.shape[1]
-    lapack = scipy.linalg.lapack            # loaded with scipy.optimize
+    lapack = scipy.linalg.lapack            # scipy.linalg loads on first use
     qr, _, _, info = lapack.dgeqrf(A, lwork=int(lapack.dgeqrf_lwork(N, n)[0]),
                                    overwrite_a=True)
     if info != 0:

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import __version__ as _tool_version
 from .expressions import parse

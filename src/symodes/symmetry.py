@@ -36,7 +36,7 @@ accumulator, so both skip points and raise DegenerateLossError alike.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .expressions import differentiate, evaluate_all, parse, to_string
 from .integrate import IntegrationError, rk4_final, rk4_flow_tangents

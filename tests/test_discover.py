@@ -185,6 +185,27 @@ def test_reduce_matches_the_numpy_qr_reference_bit_for_bit(case):
     assert in_place[0].tobytes() != Theta.tobytes()    # factored in place
 
 
+def test_reduce_past_the_blocking_crossover_matches_numpy_closely():
+    # build_library(6, 4) plus 6 derivative columns is 216 columns, past
+    # LAPACK's 128-column crossover: dgeqrf's blocked path need not keep
+    # numpy's last bits, but R and B stay within 1e-14 of max |R| and the
+    # squared residual within 1e-14 of its square, on both paths.
+    rng = np.random.default_rng(9)
+    lib = build_library(6, 4)
+    X = rng.uniform(-1.0, 1.0, size=(400, 6))
+    dX = rng.normal(size=(400, 6))
+    Theta = lib.evaluate(X)
+    p = lib.size
+    T = np.linalg.qr(np.hstack([Theta, dX]), mode="r")
+    scale = np.abs(T[:p, :p]).max()
+    for Th, dXh in ((Theta, dX), design((X, dX), lib)[:2]):
+        R, B, rss, n = discover._reduce(Th, dXh)
+        assert n == 400 and R.shape == (p, p) and B.shape == (p, 6)
+        np.testing.assert_allclose(R, T[:p, :p], rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(B, T[:p, p:], rtol=0, atol=1e-14 * scale)
+        assert abs(rss - float((T[p:, p:] ** 2).sum())) <= 1e-14 * scale ** 2
+
+
 @pytest.mark.parametrize("fit", ["sindy", "equiv-c"])
 def test_fit_holds_one_design_buffer(fit):
     # tracemalloc sees numpy's buffers.  Theta is built inside the

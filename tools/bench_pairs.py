@@ -13,8 +13,9 @@ end.  For every workload and seed s both commits run
 in their own worktree: the parent first for even s, the change first for
 odd s, so a slow stretch of a shared host falls on both sides alike.  The
 file holds, per workload and side, each run's end-to-end metrics, its
-correct flag and failed operations; per metric the median and quartiles of
-each side and the number of pairs in which the change is lower; the joint
+correct flag, failed operations and set-up CPU repeats (setup_cpu_s, of
+which setup_s is the median); per metric the median and quartiles of each
+side and the number of pairs in which the change is lower; the joint
 recoveries per method; and whether the last round's report.json,
 tables.csv and ltp.csv are byte-identical in each pair.  perfbench/ is
 run as it is in each commit, not modified.
@@ -33,6 +34,9 @@ COMMAND = ("python3 perfbench/run.py --workload {W} --seed {S} --seconds 40 "
            "--trace 0")
 REPORT_FILES = ("report.json", "tables.csv", "ltp.csv")
 SIDES = ("parent", "change")
+# Per-run records kept beside the metrics but not summarised; setup_cpu_s
+# holds each run's set-up repeats, so a set-up claim shows their spread.
+PER_RUN = ("seeds", "failed", "correct", "setup_cpu_s")
 
 
 def git(cwd, *args):
@@ -113,8 +117,7 @@ def main(argv=None):
             for s in SIDES:
                 git(top, "worktree", "add", "--detach", trees[s], shas[s])
             for w in workloads:
-                runs = {s: {"seeds": [], "failed": [], "correct": []}
-                        for s in SIDES}
+                runs = {s: {k: [] for k in PER_RUN} for s in SIDES}
                 joint = {s: {} for s in SIDES}
                 identical = []
                 for seed in seeds:
@@ -127,6 +130,7 @@ def main(argv=None):
                         r["seeds"].append(seed)
                         r["failed"].append(result["failed"])
                         r["correct"].append(result["correct"])
+                        r["setup_cpu_s"].append(details["setup_cpu_s"])
                         for k, m in result["metrics"].items():
                             r.setdefault(k, []).append(m["value"])
                         for q in details["quality"]:
@@ -141,8 +145,7 @@ def main(argv=None):
                               + json.dumps(result["metrics"]),
                               file=sys.stderr, flush=True)
                     identical.append(outputs["parent"] == outputs["change"])
-                metrics = [k for k in runs["parent"]
-                           if k not in ("seeds", "failed", "correct")]
+                metrics = [k for k in runs["parent"] if k not in PER_RUN]
                 record["pairs"][w] = dict(runs, outputs_identical=identical)
                 record["summary"][w] = summary(runs, metrics)
                 record["joint_success"][w] = joint
