@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-LAZY = ("scipy.linalg", "scipy.optimize")
 
 # Each first-use path on fixed inputs, as {name: sha256 of its output}.
 FIRST_USES = """\
@@ -50,10 +49,10 @@ for name in symodes.dynamics.SYSTEMS:
     system = symodes.dynamics.get_system(name)
     system.library()
     system.oracle()
-preloaded = [m for m in %r if m in sys.modules]
-exec(%r)
+preloaded = [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules]
+exec(sys.argv[1])
 print(json.dumps({"preloaded": preloaded, "hashes": hashes}))
-""" % (LAZY, FIRST_USES)
+"""
 
 
 def test_symodes_imports_without_scipy_linalg_or_optimize():
@@ -62,8 +61,8 @@ def test_symodes_imports_without_scipy_linalg_or_optimize():
     # scipy.linalg or scipy.optimize.  The paths that use them still load
     # them on first use and give the bits they give in this process.
     env = dict(os.environ, PYTHONPATH=SRC)
-    res = subprocess.run([sys.executable, "-c", FRESH], capture_output=True,
-                         text=True, env=env, timeout=120)
+    res = subprocess.run([sys.executable, "-c", FRESH, FIRST_USES],
+                         capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
     fresh = json.loads(res.stdout.strip().splitlines()[-1])
     assert fresh["preloaded"] == []
