@@ -38,6 +38,7 @@ NONCANONICAL = "<non-canonical>"
 
 METHODS = ("sindy", "equiv-c", "equiv-r", "gp", "equiv-gp-r")
 SYMMETRIC_METHODS = ("equiv-c", "equiv-r", "equiv-gp-r")
+DATA_KEYS = ("n_samples", "dt", "counts", "smooth_splits")  # make_dataset's
 
 
 def derive_seed(master, *path):
@@ -248,6 +249,15 @@ class BenchConfig:
                 raise ValueError(f"unknown method {m!r}; expected {METHODS}")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ValueError("horizon must be positive")
+        if self.n_checkpoints < 1 or self.ltp_ics < 1:
+            raise ValueError("n_checkpoints and ltp_ics must be at least 1")
+        for key, _ in self.data:
+            if key not in DATA_KEYS:
+                hint = "; noise is BenchConfig.noise" if key == "noise" else ""
+                raise ValueError(f"unknown data key {key!r}; expected one "
+                                 f"of {DATA_KEYS}{hint}")
         generators_for(get_system(self.system), self.methods, self.generators)
 
 

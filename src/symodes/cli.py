@@ -40,7 +40,6 @@ class ConfigError(Exception):
 # -- config schema ---------------------------------------------------------------
 
 _NUM = {"type": "number"}
-_NUM_OR_NULL = {"type": ["number", "null"]}
 
 _GENERATOR_SCHEMA = {
     "type": "object",
@@ -81,8 +80,6 @@ CONFIG_SCHEMA = {
                 "loss_kind": {"enum": list(LOSS_KINDS)},
                 "tau": _NUM,
                 "eps": _NUM,
-                "lambda_grid": {"type": "array",
-                                "items": {"type": "number", "minimum": 0}},
                 "gp": {
                     "type": "object",
                     "additionalProperties": False,
@@ -101,7 +98,8 @@ CONFIG_SCHEMA = {
                 "methods": {"type": "array", "items": {"enum": list(METHODS)},
                             "minItems": 1},
                 "runs": {"type": "integer", "minimum": 1},
-                "horizon": _NUM_OR_NULL,
+                "horizon": {"type": ["number", "null"],
+                            "exclusiveMinimum": 0},
                 "n_checkpoints": {"type": "integer", "minimum": 1},
                 "ltp_ics": {"type": "integer", "minimum": 1},
             },
@@ -248,8 +246,6 @@ def _data_overrides(cfg, system):
 def _build_discovery(cfg, system, master):
     section = dict(cfg.get("discovery", {}))
     gp = GpConfig(**section.pop("gp", {}))
-    if "lambda_grid" in section:
-        section["lambda_grid"] = tuple(section["lambda_grid"])
     section.setdefault("threshold", system.data.threshold)
     return DiscoveryConfig(seed=master, gp=gp, **section)
 

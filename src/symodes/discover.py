@@ -44,8 +44,7 @@ from .constraint import assemble_equivariant_basis, unvec
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
 from .expressions import (Expr, evaluate, evaluate_all, expand, monomial,
                           to_string)
-from .symmetry import (DEFAULT_EPS, DegenerateLossError,
-                       precompute_transforms, symmetry_loss_grad)
+from .symmetry import DEFAULT_EPS, precompute_transforms, symmetry_loss_grad
 
 # Fixed settings of the fitters; no caller varies them.
 THRESHOLD_ROUNDS = 10               # refits after the first, at most
@@ -61,6 +60,8 @@ GP_MAX_FIT_SAMPLES = 512            # fit rows, subsampled beyond this
 GP_PENALTY_POINTS = 128             # fit rows transformed per generator
 EQUIV_R_PENALTY_POINTS = 512        # training states the equiv-r loss sees
 GP_TARGET_MSE = 1e-12               # evolution stops once the best reaches it
+EQUIV_R_LAMBDA = 1.0                # equiv-r's symmetry weight by default
+GP_LAMBDA = 0.1                     # equiv-gp-r's symmetry weight by default
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,18 @@ class GpConfig:
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
+    """What a caller sets for one fit.
+
+    lambda_symm weighs the symmetry penalty of equiv-r and equiv-gp-r; None
+    gives each method its fixed weight, EQUIV_R_LAMBDA or GP_LAMBDA.  No
+    fitter chooses lambda from the data.
+    """
     threshold: float = 0.05
-    lambda_symm: float = None        # None selects from lambda_grid on val
+    lambda_symm: float = None
     loss_kind: str = "igie"
     tau: float = 0.2
     eps: float = DEFAULT_EPS
     seed: int = 0
-    lambda_grid: tuple = (0.01, 0.1, 1.0)
     gp: GpConfig = GpConfig()
 
     def __post_init__(self):
@@ -88,18 +94,12 @@ class DiscoveryConfig:
             raise ValueError("lambda_symm must be nonnegative")
 
 
-def _regression_data(dataset, split="train"):
+def _regression_data(dataset):
     if isinstance(dataset, Dataset):
-        return dataset.regression_arrays(split)
+        return dataset.regression_arrays("train")
     X, dX = dataset
     return np.atleast_2d(np.asarray(X, float)), \
         np.atleast_2d(np.asarray(dX, float))
-
-
-def _validation_data(dataset):
-    if isinstance(dataset, Dataset) and dataset.splits.get("val"):
-        return dataset.regression_arrays("val")
-    return None
 
 
 # -- sequential thresholding -----------------------------------------------------
@@ -279,35 +279,30 @@ def _masked_minimize(W0, active, reduced, lam, penalty):
 
 
 def _equiv_r_rounds(reduced, lam, penalty, threshold):
+    """Sequential thresholding by masked L-BFGS-B at one lambda.
+
+    Each round starts from the previous W on the new support.  A
+    DegenerateLossError or a non-finite objective (FloatingPointError)
+    propagates from the round that meets it.
+    """
     p, d = reduced[1].shape
     W_prev = np.linalg.lstsq(*reduced[:2], rcond=None)[0].T
-    lam_eff = lam
-    halved = False
     converged = True
     rounds = 0
 
     def fit(active):
-        nonlocal W_prev, lam_eff, halved, converged, rounds
+        nonlocal W_prev, converged, rounds
         rounds += 1
         if not active.any():
             return np.zeros((d, p))
-        while True:
-            try:
-                W, ok = _masked_minimize(W_prev * active, active, reduced,
-                                         lam_eff, penalty)
-                break
-            except (DegenerateLossError, FloatingPointError):
-                if halved or lam_eff == 0.0:
-                    raise
-                lam_eff *= 0.5
-                halved = True
+        W, ok = _masked_minimize(W_prev * active, active, reduced, lam,
+                                 penalty)
         converged = converged and ok
         W_prev = W
         return W
 
     W, _ = _threshold_rounds(fit, (d, p), threshold)
-    return W, {"rounds": rounds, "lambda": lam_eff, "halved": halved,
-               "converged": converged}
+    return W, {"rounds": rounds, "lambda": lam, "converged": converged}
 
 
 def equiv_r_fit(dataset, lib, gens, cfg=None):
@@ -315,14 +310,14 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
 
     Minimizes the mean squared equation error plus lambda times the
     configured symmetry loss, evaluated on a fixed subsample of
-    min(EQUIV_R_PENALTY_POINTS, N) of the N training states; all lambdas
-    and rounds share one _reduce, so the data term costs O(d p^2), not
-    O(N).  A None cfg.lambda_symm picks from cfg.lambda_grid by validation
-    equation error (0.1 without a val split).  A DegenerateLossError or
-    non-finite objective halves lambda once; the second raises
-    (FloatingPointError if not finite).  An empty gens runs one fit with
-    lambda 0, i.e. thresholded least squares by L-BFGS-B; the CLI and the
-    benchmark refuse equiv-r without a generator.
+    min(EQUIV_R_PENALTY_POINTS, N) of the N training states; all rounds
+    share one _reduce, so the data term costs O(d p^2), not O(N).  lambda
+    is cfg.lambda_symm, or EQUIV_R_LAMBDA when None; a Dataset and its
+    training (X, dX) pair give the same W.  A DegenerateLossError or a
+    non-finite objective (FloatingPointError, naming lambda) raises.  An
+    empty gens runs one fit with lambda 0, i.e. thresholded least squares
+    by L-BFGS-B; the CLI and the benchmark refuse equiv-r without a
+    generator.
     """
     cfg = cfg or DiscoveryConfig()
     Theta, dX, X = design(dataset, lib)
@@ -336,28 +331,10 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
         return symmetry_loss_grad(cfg.loss_kind, SindyModel(lib, W), gens,
                                   Xb, tau=cfg.tau, eps=cfg.eps)
 
-    if not gens:
-        lam_values = (0.0,)
-    elif cfg.lambda_symm is not None:
-        lam_values = (float(cfg.lambda_symm),)
-    else:
-        val = _validation_data(dataset)
-        lam_values = tuple(cfg.lambda_grid) if val is not None else (0.1,)
-    results = []
-    for lam in lam_values:
-        W, info = _equiv_r_rounds(reduced, lam, penalty, cfg.threshold)
-        results.append((lam, W, info))
-    if len(results) == 1:
-        lam, W, info = results[0]
-        scores = None
-    else:
-        Xv, dXv = val
-        Tv = lib.evaluate(Xv)
-        scores = [float(((dXv - Tv @ W.T) ** 2).mean())
-                  for _, W, _ in results]
-        lam, W, info = results[int(np.argmin(scores))]
-    prov = {"method": "equiv-r", "loss_kind": cfg.loss_kind,
-            "lambda_symm": lam, "val_scores": scores, **info}
+    lam = 0.0 if not gens else float(
+        EQUIV_R_LAMBDA if cfg.lambda_symm is None else cfg.lambda_symm)
+    W, info = _equiv_r_rounds(reduced, lam, penalty, cfg.threshold)
+    prov = {"method": "equiv-r", "loss_kind": cfg.loss_kind, **info}
     return SindyModel(lib, W, provenance=prov)
 
 
@@ -699,13 +676,14 @@ def gp_fit(dataset, cfg=None, symmetry=()):
     """Evolve one expression per output dimension.
 
     symmetry, when given, is a sequence of generators v; the penalty uses
-    the group elements exp(cfg.eps * v) with weight cfg.lambda_symm (0.1
-    when None).  It compares candidates at precomputed transformed points
-    against the pushed-forward measured derivatives; those points join the
-    fit points in each candidate's one tree evaluation, so the penalty adds
-    GP_PENALTY_POINTS rows (fewer if there are fewer fit rows) per
-    generator to it.  An empty symmetry is plain GP, with provenance method
-    "gp"; the CLI and the benchmark refuse equiv-gp-r without a generator.
+    the group elements exp(cfg.eps * v) with weight cfg.lambda_symm
+    (GP_LAMBDA when None).  It compares candidates at precomputed
+    transformed points against the pushed-forward measured derivatives;
+    those points join the fit points in each candidate's one tree
+    evaluation, so the penalty adds GP_PENALTY_POINTS rows (fewer if there
+    are fewer fit rows) per generator to it.  An empty symmetry is plain
+    GP, with provenance method "gp"; the CLI and the benchmark refuse
+    equiv-gp-r without a generator.
     """
     cfg = cfg or DiscoveryConfig()
     X, dX = _regression_data(dataset)
@@ -718,7 +696,7 @@ def gp_fit(dataset, cfg=None, symmetry=()):
     lam = 0.0
     penalty_all = None
     if symmetry:
-        lam = float(cfg.lambda_symm if cfg.lambda_symm is not None else 0.1)
+        lam = float(GP_LAMBDA if cfg.lambda_symm is None else cfg.lambda_symm)
         np_pen = min(GP_PENALTY_POINTS, X.shape[0])
         penalty_all = gp_penalty_data(symmetry, X[:np_pen], dX[:np_pen],
                                       float(cfg.eps))

@@ -285,6 +285,24 @@ def test_bench_config_validation():
         BenchConfig(system="oscillator", methods=("nope",))
     with pytest.raises(ValueError):
         BenchConfig(system="oscillator", runs=0)
+    for bad in ({"horizon": -1.0}, {"horizon": 0.0}, {"n_checkpoints": 0},
+                {"ltp_ics": 0}):
+        with pytest.raises(ValueError):
+            BenchConfig(system="oscillator", **bad)
+    BenchConfig(system="oscillator", horizon=2.5, n_checkpoints=1, ltp_ics=1)
+
+
+@pytest.mark.parametrize("data, message", [
+    ((("noise", NoiseSpec("none", 0.0)),), "BenchConfig.noise"),
+    ((("bogus", 1),), "'bogus'"),
+])
+def test_bench_config_takes_only_make_dataset_overrides(data, message):
+    # Refused when built, not by make_dataset inside a worker.
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(system="oscillator", data=data)
+    BenchConfig(system="oscillator", data=(("n_samples", 30), ("dt", 0.2),
+                                           ("counts", (2, 0, 1)),
+                                           ("smooth_splits", ("train",))))
 
 
 @pytest.mark.parametrize("method", ["equiv-c", "equiv-r", "equiv-gp-r"])

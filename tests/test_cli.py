@@ -139,7 +139,8 @@ def test_help_and_version_still_exit_0(capsys):
 
 @pytest.mark.parametrize("discovery, path", [
     ({"lambda_symm": -1.0}, "discovery.lambda_symm"),
-    ({"lambda_grid": [0.1, -0.5]}, "discovery.lambda_grid.1"),
+    # the removed lambda grid is an unknown key
+    ({"lambda_grid": [0.01, 0.1, 1.0]}, "discovery"),
     ({"gp": {"population": 0}}, "discovery.gp.population"),
     ({"gp": {"generations": -1}}, "discovery.gp.generations"),
     # fixed settings, not config keys
@@ -157,10 +158,18 @@ def test_bad_discovery_values_exit_1(tmp_path, capsys, discovery, path):
     assert path in capsys.readouterr().err
 
 
-def test_negative_lambda_flag_exits_1(capsys):
-    assert run_cli("discover", "--system", "oscillator", "--method",
-                   "equiv-r", "--lambda", "-1") == 1
-    assert "discovery.lambda_symm" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, path", [
+    (["discover", "--method", "equiv-r", "--lambda", "-1"],
+     "discovery.lambda_symm"),
+    (["benchmark", "--methods", "sindy", "--runs", "1", "--horizon", "-1"],
+     "benchmark.horizon"),
+])
+def test_bad_flag_values_exit_1(tmp_path, capsys, argv, path):
+    # Refused by the schema before any data is generated.
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--system", "oscillator", "--out", str(out)) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, user", [
@@ -342,9 +351,8 @@ def test_discover_refuses_a_system_other_than_the_datasets(tmp_path,
 
 
 def test_equiv_r_non_finite_objective_is_a_public_error(tmp_path, capsys):
-    # On growth the fgfe flow of an L-BFGS-B iterate overflows; lambda is
-    # halved once, and the second failure reaches the user by its public
-    # name.
+    # On growth the fgfe flow of an L-BFGS-B iterate overflows, and the
+    # failure reaches the user by its public name, with the lambda it hit.
     with np.errstate(all="ignore"):
         assert run_cli("discover", "--system", "growth", "--method",
                        "equiv-r", "--loss", "fgfe",

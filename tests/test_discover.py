@@ -287,9 +287,7 @@ def test_each_fit_reduces_once(monkeypatch):
     assert len(calls) == 1
     equiv_c_fit(ds, lib, sys.generators, DiscoveryConfig(ds.threshold))
     assert len(calls) == 2
-    cfg = DiscoveryConfig(ds.threshold, lambda_grid=(0.01, 0.1, 1.0))
-    model = equiv_r_fit(ds, lib, sys.generators, cfg)
-    assert len(model.provenance["val_scores"]) == 3
+    equiv_r_fit(ds, lib, sys.generators, DiscoveryConfig(ds.threshold))
     assert len(calls) == 3
 
 
@@ -362,12 +360,44 @@ def test_equiv_r_with_symmetry_weight_still_recovers_clean_truth():
     assert model.provenance["lambda"] == 0.1
 
 
-def test_equiv_r_validation_selects_lambda_from_grid():
-    sys, lib, X, dX = clean_arrays("oscillator", n=200)
-    cfg = DiscoveryConfig(threshold=0.05, lambda_symm=None,
-                          lambda_grid=(0.01, 0.1))
-    model = equiv_r_fit((X, dX), lib, sys.generators, cfg)
-    assert model.provenance["lambda"] in (0.01, 0.1)
+def test_equiv_r_dataset_and_its_training_pair_give_the_same_bits():
+    # A Dataset with a validation split fits at the same lambda as its
+    # training rows alone.  Here validation derivative error would pick
+    # lambda 1.0 from (0.01, 0.1, 1.0), so a rule that scores lambda on the
+    # val split, with a fallback for bare rows, shows up as different bits.
+    from symodes.dynamics import make_dataset
+
+    sys = get_system("oscillator")
+    lib = sys.library()
+    ds = make_dataset(sys, seed=0, counts=(6, 2, 0))
+    cfg = DiscoveryConfig(ds.threshold)
+    a = equiv_r_fit(ds, lib, sys.generators, cfg)
+    b = equiv_r_fit(ds.regression_arrays("train"), lib, sys.generators, cfg)
+    assert a.W.tobytes() == b.W.tobytes()
+    assert a.provenance == b.provenance
+    assert a.provenance["lambda"] == discover.EQUIV_R_LAMBDA
+
+
+def test_equiv_r_misses_no_growth_seed_that_equiv_c_recovers():
+    # Paired on the same datasets, as criterion 05 counts pairs.
+    from symodes.bench import success, term_set
+    from symodes.dynamics import make_dataset
+
+    sys = get_system("growth")
+    lib = sys.library()
+    truth = [sorted(t.label() for t in s) for s in sys.truth_term_sets()]
+    cfg = DiscoveryConfig(sys.data.threshold)
+    only_c = []
+    for seed in range(10):
+        ds = make_dataset(sys, seed)
+        joint = {}
+        for name, fit in (("equiv-c", equiv_c_fit), ("equiv-r", equiv_r_fit)):
+            sets = term_set(fit(ds, lib, sys.generators, cfg), lib,
+                            min_coef=cfg.threshold)
+            joint[name] = success([labels for labels, _ in sets], truth)[1]
+        if joint["equiv-c"] and not joint["equiv-r"]:
+            only_c.append(seed)
+    assert only_c == []
 
 
 # -- GP engine -----------------------------------------------------------------

@@ -406,7 +406,7 @@ def test_points_with_vanishing_denominators_are_skipped(kind):
 def test_a_nan_denominator_makes_the_loss_non_finite(kind):
     # A NaN state stands for a diverged flow: its denominator is NaN, which
     # is not an underflow, so the point is kept and the loss and gradient
-    # turn NaN instead of skipping it (equiv-r then halves lambda).
+    # turn NaN instead of skipping it (equiv-r then raises).
     model = oscillator_model()
     gens = [Generator.linear(ROTATION)]
     X = np.random.default_rng(43).normal(size=(6, 2)) + 1.0

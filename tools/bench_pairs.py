@@ -17,7 +17,10 @@ correct flag, failed operations and set-up CPU repeats (setup_cpu_s, of
 which setup_s is the median); per metric the median and quartiles of each
 side and the number of pairs in which the change is lower; the joint
 recoveries per method; and whether the last round's report.json,
-tables.csv and ltp.csv are byte-identical in each pair.  perfbench/ is
+tables.csv and ltp.csv are byte-identical in each pair.  For a pair whose
+files differ it also names the report.json records, by (method, run), that
+changed, with whether their term sets or joint_success changed, and the
+methods of the tables.csv and ltp.csv rows that changed.  perfbench/ is
 run as it is in each commit, not modified.
 """
 
@@ -70,6 +73,28 @@ def run_perfbench(tree, workload, seed):
     return json.loads(proc.stdout.strip().splitlines()[-1]), details, outputs
 
 
+def report_changes(parent, change):
+    """Which records and CSV rows differ between two sides' report files."""
+    old, new = ({(r["method"], r["run"]): r for r in
+                 json.loads(side["report.json"])["records"]}
+                for side in (parent, change))
+    out = {"records": []}
+    for m, k in sorted(old.keys() | new.keys()):
+        a, b = old.get((m, k), {}), new.get((m, k), {})
+        if a != b:
+            out["records"].append({
+                "method": m, "run": k,
+                "term_sets_changed": a.get("term_sets") != b.get("term_sets"),
+                "joint_success_changed":
+                    a.get("joint_success") != b.get("joint_success")})
+    for name in REPORT_FILES[1:]:
+        rows = [set(side[name].decode().splitlines())
+                for side in (parent, change)]
+        out[name] = sorted({row.split(",")[0] for row in rows[0] ^ rows[1]
+                            if not row.startswith("#")})
+    return out
+
+
 def summary(runs, metrics):
     """Median, quartiles and change-lower pair count per metric."""
     out = {}
@@ -119,7 +144,7 @@ def main(argv=None):
             for w in workloads:
                 runs = {s: {k: [] for k in PER_RUN} for s in SIDES}
                 joint = {s: {} for s in SIDES}
-                identical = []
+                identical, changes = [], []
                 for seed in seeds:
                     order = SIDES if seed % 2 == 0 else SIDES[::-1]
                     outputs = {}
@@ -144,9 +169,13 @@ def main(argv=None):
                         print(f"{w} seed {seed} {s}: "
                               + json.dumps(result["metrics"]),
                               file=sys.stderr, flush=True)
-                    identical.append(outputs["parent"] == outputs["change"])
+                    same = outputs["parent"] == outputs["change"]
+                    identical.append(same)
+                    changes.append(None if same else report_changes(
+                        outputs["parent"], outputs["change"]))
                 metrics = [k for k in runs["parent"] if k not in PER_RUN]
-                record["pairs"][w] = dict(runs, outputs_identical=identical)
+                record["pairs"][w] = dict(runs, outputs_identical=identical,
+                                          outputs_changed=changes)
                 record["summary"][w] = summary(runs, metrics)
                 record["joint_success"][w] = joint
         finally:
