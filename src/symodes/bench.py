@@ -139,19 +139,21 @@ def _rmse_one(records, truth_coeffs, mode, eq):
 def long_term_error(models, system, test_ics, horizon, checkpoints):
     """Squared prediction errors of learned fields against the true flow.
 
-    models maps a name to a model with a vector field h (a SindyModel or a
-    GpResult).  Every model and the true field are integrated from each
-    initial condition; at every checkpoint each model's per-state mean
-    squared error against the true state is recorded.  States whose norm
-    exceeds 1e6 (or go non-finite) are marked divergent from then on and
-    excluded from the aggregates but counted.
+    models maps a name to a model whose field(shape) binds its vector field
+    to a batch shape (a SindyModel or a GpResult).  Every model and the
+    true field are integrated from each initial condition; at every
+    checkpoint each model's per-state mean squared error against the true
+    state is recorded.  States whose norm exceeds 1e6 (or go non-finite)
+    are marked divergent from then on and excluded from the aggregates but
+    counted.
 
     Every model advances with the true field as one stacked (M, B, d) batch:
     block 0 is the truth, then every SindyModel over the system's library,
     then every other model (an expression tree).  The stacked weights are
     bound once to the (L, B) W-linear blocks (see dynamics.LinearField), so
     each RK4 stage evaluates Theta once for them and multiplies it by each
-    W; each other model's field is evaluated on its own (B, d) block.  Every
+    W; each other model's field is bound once to its own (B, d) block (a
+    GpResult's trees compiled into an expressions.TreeField).  Every
     block is written straight into its slice of the stage's slopes and gets
     the bits it gets alone, so a model's result does not depend on which
     models share the call, and a diverging block leaves the others
@@ -179,11 +181,13 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
     n_cp = len(checkpoints)
     Y = np.stack([X] * (L + len(others)))
     linear_h = LinearField(lib, Ws, (L, B))
+    with np.errstate(all="ignore"):     # a tree's constants fold here
+        other_h = [models[m].field((B,)) for m in others]
 
     def stacked_h(Y, F):
         linear_h(Y[:L], F[:L])
-        for j, m in enumerate(others, start=L):
-            models[m].h(Y[j], F[j])
+        for j, h in enumerate(other_h, start=L):
+            h(Y[j], F[j])
 
     out = {m: {"checkpoints": list(checkpoints),
                "errors": np.zeros((n_cp, B)),

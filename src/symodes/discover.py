@@ -19,9 +19,12 @@ Dataset or an (X, dX) pair:
                      candidate costs one tree evaluation on the fit and
                      penalty points together, and each generation enters
                      np.errstate once for all its candidates.  Tree
-                     shapes, picks and constants are drawn through the
-                     bit generator's C functions (_Draws), which give the
-                     Generator's own draws at a third of the overhead.
+                     shapes, picks and constants are the Generator's own
+                     draws, read from blocks of its bit generator's
+                     outputs (_Draws); tournaments read one list of
+                     fitness totals per generation, and children rebuild
+                     only the path to the changed node, unchecked
+                     (expressions.make_node).
 
 The three W-linear fitters share one sequential-thresholding loop and
 one in-place QR of the design buffer [Theta | dX] per fit, after which the
@@ -42,8 +45,8 @@ import scipy
 from .constraint import assemble_equivariant_basis, unvec
 # equation_strings is re-exported: callers import it with SindyModel
 from .dynamics import Dataset, SindyModel, equation_strings, split_rng
-from .expressions import (Expr, evaluate, evaluate_all, expand, monomial,
-                          to_string)
+from .expressions import (Expr, TreeField, evaluate, evaluate_all, expand,
+                          make_node, monomial, to_string)
 from .symmetry import DEFAULT_EPS, precompute_transforms, symmetry_loss_grad
 
 # Fixed settings of the fitters; no caller varies them.
@@ -94,12 +97,34 @@ class DiscoveryConfig:
             raise ValueError("lambda_symm must be nonnegative")
 
 
+def _regression_parts(dataset):
+    """(X, dX) row blocks: one per training trajectory of a Dataset, or the
+    pair itself, each array (N, -1), so a 1-D one is a column."""
+    if isinstance(dataset, Dataset):
+        return dataset.regression_parts("train")
+    X, dX = (np.asarray(a, float) for a in dataset)
+    X, dX = X.reshape(len(X), -1), dX.reshape(len(dX), -1)
+    if len(X) != len(dX):
+        raise ValueError(f"X has {len(X)} rows but dX has {len(dX)}")
+    return [(X, dX)]
+
+
 def _regression_data(dataset):
+    """The (X, dX) of _regression_parts, stacked."""
     if isinstance(dataset, Dataset):
         return dataset.regression_arrays("train")
-    X, dX = dataset
-    return np.atleast_2d(np.asarray(X, float)), \
-        np.atleast_2d(np.asarray(dX, float))
+    return _regression_parts(dataset)[0]
+
+
+def _rows(parts, idx):
+    """Rows idx of np.concatenate(parts), gathered without building it."""
+    ends = np.cumsum([len(P) for P in parts])
+    which = np.searchsorted(ends, idx, side="right")
+    out = np.empty((len(idx), parts[0].shape[1]))
+    for k in np.unique(which):
+        sel = which == k
+        out[sel] = parts[k][idx[sel] - (ends[k] - len(parts[k]))]
+    return out
 
 
 # -- sequential thresholding -----------------------------------------------------
@@ -135,13 +160,20 @@ def _reduce(Theta, dX):
 
 
 def design(dataset, lib):
-    """(Theta, dX, X) of a Dataset or (X, dX) pair, Theta = lib(X) built in
-    place: Theta and dX are the column blocks of one buffer for _reduce."""
-    X, dX = _regression_data(dataset)
-    A = np.empty((len(X), lib.size + dX.shape[1]), order="F")
-    A[:, lib.size:] = dX
-    del dX                                  # Theta fills in beside X alone
-    return lib.evaluate(X, out=A[:, :lib.size]), A[:, lib.size:], X
+    """(Theta, dX, Xs) of a Dataset or (X, dX) pair: Theta = lib(X) and dX
+    are the column blocks of one Fortran buffer for _reduce, filled one
+    training trajectory at a time, and Xs lists those trajectories' states
+    (_rows gathers rows of their concatenation)."""
+    parts = _regression_parts(dataset)
+    p = lib.size
+    A = np.empty((sum(len(X) for X, _ in parts), p + parts[0][1].shape[1]),
+                 order="F")
+    r = 0
+    for X, dX in parts:
+        A[r:r + len(X), p:] = dX
+        lib.evaluate(X, out=A[r:r + len(X), :p])
+        r += len(X)
+    return A[:, :p], A[:, p:], [X for X, _ in parts]
 
 
 def _threshold_rounds(fit, shape, threshold):
@@ -320,12 +352,13 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
     generator.
     """
     cfg = cfg or DiscoveryConfig()
-    Theta, dX, X = design(dataset, lib)
+    Theta, dX, Xs = design(dataset, lib)
     reduced = _reduce(Theta, dX)
+    N = reduced[3]
     del Theta, dX
     rng = split_rng(cfg.seed, 0)
-    nb = min(EQUIV_R_PENALTY_POINTS, X.shape[0])
-    Xb = X[rng.choice(X.shape[0], size=nb, replace=False)]
+    Xb = _rows(Xs, rng.choice(N, size=min(EQUIV_R_PENALTY_POINTS, N),
+                              replace=False))
 
     def penalty(W):
         return symmetry_loss_grad(cfg.loss_kind, SindyModel(lib, W), gens,
@@ -348,42 +381,104 @@ def gp_evaluate(e, X):
     return evaluate(e, X, protected=True)
 
 
+_DRAW_BLOCK = 128                   # PCG64 outputs _Draws reads at a time
+_LOW32 = 0xFFFFFFFF
+_TO_UNIT = 1.0 / 9007199254740992.0  # next_double's 2**-53
+
+
 class _Draws:
-    """A Generator's bounded-integer and uniform draws, at less overhead.
+    """A PCG64 Generator's bounded-integer and uniform draws, at less
+    overhead.
 
     below(n) equals int(rng.integers(n)) for 1 <= n <= 2**32, and k calls
     equal rng.integers(n, size=k); random() and uniform(lo, hi) equal
-    rng.random() and rng.uniform(lo, hi).  They call the bit generator's C
-    next_uint32 and next_double through rng.bit_generator.ctypes, as the
-    Generator does (below is numpy's Lemire rejection method, and below(1)
-    draws nothing), so these draws and rng's own interleave into one
-    stream.  The ctypes calls bypass the bit generator's lock: use the
+    rng.random() and rng.uniform(lo, hi).  They read the bit generator's
+    64-bit outputs in blocks of _DRAW_BLOCK (random_raw) and use them as
+    numpy's PCG64 does: next_double takes the top 53 bits of one output,
+    next_uint32 the low half of one and keeps its high half for the next
+    call.  below is numpy's Lemire rejection method, and below(1) draws
+    nothing.  The attribute rng is the Generator, its bit generator moved
+    back to this object's place in the stream with the kept half, so the
+    Generator's own draws and these interleave into one stream.  Use the
     object from one thread only.
     """
 
-    __slots__ = ("rng", "_state", "_u32", "_f64")
+    __slots__ = ("_rng", "_raw", "_i", "_half", "_outside")
 
     def __init__(self, rng):
-        ct = rng.bit_generator.ctypes
-        self.rng = rng
-        self._state, self._u32, self._f64 = (ct.state, ct.next_uint32,
-                                             ct.next_double)
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("_Draws splits PCG64 outputs")
+        self._rng = rng
+        # _outside: the bit generator's state is the stream's, and the
+        # block and the kept half here are empty
+        self._raw, self._i, self._half, self._outside = [], 0, None, True
+
+    @property
+    def rng(self):
+        if not self._outside:
+            bits = self._rng.bit_generator
+            # back over the unread outputs; this also drops a kept half
+            bits.advance(self._i - len(self._raw))
+            if self._half is not None:
+                state = bits.state
+                state["has_uint32"], state["uinteger"] = 1, self._half
+                bits.state = state
+            self._raw, self._i, self._half, self._outside = [], 0, None, True
+        return self._rng
+
+    def _next64(self):
+        if self._outside or self._i == len(self._raw):
+            bits = self._rng.bit_generator
+            if self._outside:
+                state = bits.state
+                if state["has_uint32"]:
+                    self._half = state["uinteger"]
+                self._outside = False
+            self._raw, self._i = bits.random_raw(_DRAW_BLOCK).tolist(), 0
+        self._i += 1
+        return self._raw[self._i - 1]
+
+    def _next32(self):
+        if self._outside:
+            self._next64()                      # takes the kept half back
+            self._i -= 1
+        h = self._half
+        if h is not None:
+            self._half = None
+            return h
+        v = self._next64()
+        self._half = v >> 32
+        return v & _LOW32
 
     def below(self, n):
         if n == 1:
             return 0
-        m = self._u32(self._state) * n
-        if (m & 0xFFFFFFFF) < n:
+        h, i = self._half, self._i
+        if h is not None:
+            self._half = None
+            m = h * n
+        elif i < len(self._raw):                # the inline _next32
+            v = self._raw[i]
+            self._i = i + 1
+            self._half = v >> 32
+            m = (v & _LOW32) * n
+        else:
+            m = self._next32() * n
+        if (m & _LOW32) < n:
             threshold = (1 << 32) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._u32(self._state) * n
+            while (m & _LOW32) < threshold:
+                m = self._next32() * n
         return m >> 32
 
     def random(self):
-        return self._f64(self._state)
+        i = self._i
+        if i < len(self._raw):                  # the inline _next64
+            self._i = i + 1
+            return (self._raw[i] >> 11) * _TO_UNIT
+        return (self._next64() >> 11) * _TO_UNIT
 
     def uniform(self, lo, hi):
-        return lo + (hi - lo) * self._f64(self._state)
+        return lo + (hi - lo) * self.random()
 
 
 def _random_tree(draws, dim, depth, full):
@@ -424,16 +519,17 @@ def _subtree(e, k):
 
 
 def _replace_node(e, k, new):
+    """e with its node k in preorder replaced by new; the nodes on the path
+    to it are rebuilt, every other subtree is shared."""
     if k == 0:
         return new
     k -= 1
-    kids = list(e.children)
+    kids = e.children
     for j, c in enumerate(kids):
-        n = c.size
-        if k < n:
-            kids[j] = _replace_node(c, k, new)
-            return Expr(e.kind, tuple(kids), e.value)
-        k -= n
+        if k < c.size:
+            return make_node(e.kind, kids[:j] + (_replace_node(c, k, new),)
+                             + kids[j + 1:], e.value)
+        k -= c.size
     raise IndexError("node index out of range")
 
 
@@ -491,16 +587,18 @@ def gp_fitness_points(X, penalty, lam):
     in points, pushed-forward derivatives, their mean square) for each pair
     in the same order, leaving out pairs whose derivatives are all but zero.
     Without a penalty (lam 0 or no pairs) the points are X's values and
-    there are no targets.
+    there are no targets.  points is Fortran-ordered and the derivatives
+    contiguous, so every variable a tree reads is a contiguous array.
     """
     pairs = penalty if lam > 0.0 and penalty else ()
     targets, lo = [], X.shape[0]
     for _, target in pairs:
         denom = _mean_square(target)
         if not denom < 1e-30:  # a NaN stays, making every candidate inf
-            targets.append((lo, target, denom))
+            targets.append((lo, np.ascontiguousarray(target), denom))
         lo += target.shape[0]
-    return np.concatenate([X] + [gX for gX, _ in pairs]), targets
+    points = np.concatenate([X] + [gX for gX, _ in pairs])
+    return np.asfortranarray(points), targets
 
 
 def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
@@ -515,13 +613,15 @@ def gp_candidate_fitness(e, points, y, inv_var, cfg, targets, lam):
     size = e.size
     n = y.shape[0]
     v = evaluate(e, points, protected=True)
-    mse = _mean_square(v[:n] - y) * inv_var
+    r = v[:n] - y                       # mean squares as _mean_square's
+    mse = float(np.add.reduce(r * r) / n) * inv_var
     if not math.isfinite(mse):
         return (np.inf, np.inf, 0.0, size)
     pen = 0.0
     for lo, target, denom in targets:
-        q = v[lo:lo + target.shape[0]] - target
-        pen += _mean_square(q) / denom
+        m = target.shape[0]
+        q = v[lo:lo + m] - target
+        pen += float(np.add.reduce(q * q) / m) / denom
     pen = pen / len(targets) if targets else 0.0
     if not math.isfinite(pen):
         return (np.inf, mse, np.inf, size)
@@ -582,18 +682,29 @@ def refit_constants(e, X, y):
     return out
 
 
-def _tournament(pop, fits, draws, k):
-    n = len(pop)
-    idx = [draws.below(n) for _ in range(k)]
-    j = min(idx, key=lambda j: (fits[j][0], j))
-    return pop[j]
+def _tournament(totals, below):
+    """The index of the lowest of GP_TOURNAMENT uniform picks from totals
+    (below is _Draws.below); a tie goes to the lower index."""
+    n = len(totals)
+    j = below(n)
+    best = totals[j]
+    for _ in range(GP_TOURNAMENT - 1):
+        i = below(n)
+        t = totals[i]
+        if t < best or (t == best and i < j):
+            j, best = i, t
+    return j
 
 
 def _evolve_dimension(X, y, cfg, rng, penalty, lam):
     var = float(y.var())
     inv_var = 1.0 / var if var > 0 else 1.0
+    y = np.ascontiguousarray(y)
     points, targets = gp_fitness_points(X, penalty, lam)
     draws = _Draws(rng)
+    below, dim = draws.below, X.shape[-1]
+    p_subtree = GP_P_CROSSOVER + GP_P_SUBTREE
+    p_point = p_subtree + GP_P_POINT
 
     scored = {}
 
@@ -612,17 +723,17 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
                                                    cfg, targets, lam))
                 scored[id(e)] = hit
                 fits.append(hit[1])
-        return fits
+        return fits, [f[0] for f in fits]
 
-    pop = _initial_population(draws, X.shape[-1], cfg)
-    fits = score(pop)
-    if all(not np.isfinite(f[0]) for f in fits):
-        pop = _initial_population(draws, X.shape[-1], cfg)
-        fits = score(pop)
-        if all(not np.isfinite(f[0]) for f in fits):
+    pop = _initial_population(draws, dim, cfg)
+    fits, totals = score(pop)
+    if not any(map(math.isfinite, totals)):
+        pop = _initial_population(draws, dim, cfg)
+        fits, totals = score(pop)
+        if not any(map(math.isfinite, totals)):
             raise RuntimeError("every candidate in the reseeded population "
                                "evaluated non-finite")
-    j = int(np.argmin([f[0] for f in fits]))
+    j = int(np.argmin(totals))
     best_e, best_f = pop[j], fits[j]
     history = [best_f[0]]
     for _ in range(cfg.generations):
@@ -630,25 +741,24 @@ def _evolve_dimension(X, y, cfg, rng, penalty, lam):
             break
         newpop = [best_e]
         while len(newpop) < cfg.population:
-            parent = _tournament(pop, fits, draws, GP_TOURNAMENT)
+            parent = pop[_tournament(totals, below)]
             r = draws.random()
             if r < GP_P_CROSSOVER:
-                child = _crossover(
-                    parent, _tournament(pop, fits, draws, GP_TOURNAMENT),
-                    draws)
-            elif r < GP_P_CROSSOVER + GP_P_SUBTREE:
-                child = _subtree_mutation(parent, draws, X.shape[-1])
-            elif r < GP_P_CROSSOVER + GP_P_SUBTREE + GP_P_POINT:
-                child = _point_mutation(parent, draws, X.shape[-1])
+                child = _crossover(parent, pop[_tournament(totals, below)],
+                                   draws)
+            elif r < p_subtree:
+                child = _subtree_mutation(parent, draws, dim)
+            elif r < p_point:
+                child = _point_mutation(parent, draws, dim)
             else:
                 child = parent
             if child.height > GP_MAX_DEPTH:
                 child = parent
             newpop.append(child)
         pop = newpop
-        fits = score(pop)
-        j = int(np.argmin([f[0] for f in fits]))
-        if fits[j][0] < best_f[0]:
+        fits, totals = score(pop)
+        j = int(np.argmin(totals))
+        if totals[j] < best_f[0]:
             best_e, best_f = pop[j], fits[j]
         history.append(best_f[0])
     return best_e, best_f, history
@@ -662,6 +772,10 @@ class GpResult:
     fitness: list
     history: list
     provenance: dict = field(default_factory=dict)
+
+    def field(self, shape):
+        """h bound to states of batch shape `shape` (see TreeField)."""
+        return TreeField(self.exprs, shape, protected=True)
 
     def h(self, X, out=None):
         """The discovered vector field at X of shape (..., d)."""

@@ -525,20 +525,23 @@ class Dataset:
     def test(self):
         return self.splits["test"]
 
-    def regression_arrays(self, split="train"):
-        """Stacked (X, dX) over a split, from smoothed states + derivatives.
+    def regression_parts(self, split="train"):
+        """One (X, dX) per trajectory of a split: its smoothed states and
+        derivatives.
 
         A trajectory without derivatives (a split left unsmoothed) is
         differentiated from its regression states, as
         differentiate_trajectory does.
         """
-        trajs = self.splits[split]
-        X = np.concatenate([tr.regression_states() for tr in trajs])
-        dX = np.concatenate([
-            tr.derivs if tr.derivs is not None
-            else estimate_derivatives(tr.regression_states(), tr.dt)
-            for tr in trajs])
-        return X, dX
+        return [(tr.regression_states(),
+                 tr.derivs if tr.derivs is not None
+                 else estimate_derivatives(tr.regression_states(), tr.dt))
+                for tr in self.splits[split]]
+
+    def regression_arrays(self, split="train"):
+        """The regression_parts of a split, stacked into one (X, dX)."""
+        parts = self.regression_parts(split)
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def make_dataset(system, seed, noise=None, n_samples=None, dt=None,

@@ -44,9 +44,6 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-_set = object.__setattr__
-
-
 class Expr:
     """A node in an expression tree.
 
@@ -61,17 +58,7 @@ class Expr:
     def __init__(self, kind, children=(), value=None):
         if kind not in _KINDS:
             raise ValueError(f"unknown node kind {kind!r}")
-        children = tuple(children)
-        size = height = 1
-        for c in children:
-            size += c.size
-            if c.height >= height:
-                height = c.height + 1
-        _set(self, "kind", kind)
-        _set(self, "children", children)
-        _set(self, "value", value)
-        _set(self, "size", size)
-        _set(self, "height", height)
+        _fill(self, kind, tuple(children), value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
@@ -84,44 +71,44 @@ class Expr:
 
     @staticmethod
     def const(c):
-        return Expr("const", value=float(c))
+        return make_node("const", (), float(c))
 
     @staticmethod
     def var(i):
         if i < 0:
             raise ValueError("variable index must be nonnegative")
-        return Expr("var", value=int(i))
+        return make_node("var", (), int(i))
 
     @staticmethod
     def add(a, b):
-        return Expr("add", (a, b))
+        return make_node("add", (a, b))
 
     @staticmethod
     def sub(a, b):
-        return Expr("sub", (a, b))
+        return make_node("sub", (a, b))
 
     @staticmethod
     def mul(a, b):
-        return Expr("mul", (a, b))
+        return make_node("mul", (a, b))
 
     @staticmethod
     def div(a, b):
-        return Expr("div", (a, b))
+        return make_node("div", (a, b))
 
     @staticmethod
     def neg(a):
-        return Expr("neg", (a,))
+        return make_node("neg", (a,))
 
     @staticmethod
     def exp(a):
-        return Expr("exp", (a,))
+        return make_node("exp", (a,))
 
     @staticmethod
     def pow(a, n):
         n = int(n)
         if n < 0:
             raise ValueError("exponents must be nonnegative integers")
-        return Expr("pow", (a,), value=n)
+        return make_node("pow", (a,), n)
 
     # -- queries -----------------------------------------------------------
 
@@ -141,6 +128,48 @@ class Expr:
         return f"Expr<{to_string(self)}>"
 
 
+_new = object.__new__
+# the slot setters, which a raising __setattr__ leaves the only way in
+_SET_KIND, _SET_CHILDREN, _SET_VALUE, _SET_SIZE, _SET_HEIGHT = (
+    Expr.__dict__[name].__set__ for name in Expr.__slots__)
+
+
+def _fill(e, kind, children, value):
+    size = height = 1
+    for c in children:
+        size += c.size
+        if c.height >= height:
+            height = c.height + 1
+    _SET_KIND(e, kind)
+    _SET_CHILDREN(e, children)
+    _SET_VALUE(e, value)
+    _SET_SIZE(e, size)
+    _SET_HEIGHT(e, height)
+
+
+def make_node(kind, children, value=None):
+    """Expr(kind, children, value) for a known kind and a tuple of children,
+    without checking or copying them: the constructor of the builders above
+    and of the GP engine's children."""
+    e = _new(Expr)
+    _fill(e, kind, children, value)
+    return e
+
+
+# The ufunc of each operator kind.  _eval and TreeField both take a node's
+# ufunc from _UFUNCS and _power, so a bound tree gets the one-shot bits; pow
+# by 2 is np.square, as ndarray ** 2 is.  Under protected division any x/0,
+# 0/0 included, is X_OVER_ZERO, whatever the quotient was.
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+           "div": np.divide, "neg": np.negative, "exp": np.exp}
+X_OVER_ZERO = 1.0
+
+
+def _power(e):
+    """(ufunc, trailing operands) of a pow node."""
+    return (np.square, ()) if e.value == 2 else (np.power, (e.value,))
+
+
 def evaluate(e, x, protected=False):
     """Evaluate e at points x of shape (..., d); returns shape (...).
 
@@ -151,9 +180,9 @@ def evaluate(e, x, protected=False):
     """
     x = np.asarray(x, dtype=float)
     out = _eval(e, x, protected)
-    if np.ndim(out) == 0:
-        return float(out) if x.ndim == 1 else np.full(x.shape[:-1], out)
-    return out
+    if type(out) is np.ndarray and out.ndim:
+        return out
+    return float(out) if x.ndim == 1 else np.full(x.shape[:-1], out)
 
 
 def evaluate_all(exprs, x, protected=False, out=None):
@@ -170,35 +199,104 @@ def evaluate_all(exprs, x, protected=False, out=None):
 
 
 def _eval(e, x, protected):
-    # Constants stay scalars and broadcast where they meet a variable, so a
-    # constant-only subtree is computed once, not once per point.
+    # The one-shot evaluator.  Constants stay scalars and broadcast where
+    # they meet a variable, so a constant-only subtree is computed once, not
+    # once per point.
     k = e.kind
-    if k == "const":
-        return e.value
     if k == "var":
         return x[..., e.value]
-    if k == "add":
-        return (_eval(e.children[0], x, protected)
-                + _eval(e.children[1], x, protected))
-    if k == "sub":
-        return (_eval(e.children[0], x, protected)
-                - _eval(e.children[1], x, protected))
-    if k == "mul":
-        return (_eval(e.children[0], x, protected)
-                * _eval(e.children[1], x, protected))
-    if k == "div":
-        num = _eval(e.children[0], x, protected)
-        den = _eval(e.children[1], x, protected)
-        q = np.divide(num, den)
-        return np.where(den == 0.0, 1.0, q) if protected else q
-    if k == "neg":
-        return -_eval(e.children[0], x, protected)
-    if k == "exp":
-        return np.exp(_eval(e.children[0], x, protected))
+    if k == "const":
+        return e.value
+    c = e.children
+    a = _eval(c[0], x, protected)
     if k == "pow":
-        base = np.asarray(_eval(e.children[0], x, protected))
-        return base ** e.value
-    raise AssertionError(k)
+        ufunc, n = _power(e)
+        return ufunc(a, *n)
+    if len(c) == 1:
+        return _UFUNCS[k](a)
+    b = _eval(c[1], x, protected)
+    v = _UFUNCS[k](a, b)
+    if protected and k == "div":
+        return np.where(b == 0.0, X_OVER_ZERO, v)
+    return v
+
+
+class TreeField:
+    """The field h(x) = (e_1(x), .., e_d(x)) of d trees over x1..xd, bound
+    to states (..., d) of one batch shape.
+
+    f(X, out) writes h(X) into out (integrate's field contract); f(X)
+    returns a fresh array.  Each tree is compiled once, here, into steps
+    (ufunc, operands with the output last) over registers of the batch
+    shape, one per operator node; its root writes its row of a batch-last
+    output buffer.  A call copies X in, runs one ufunc per node (three for
+    a protected division: np.equal of the divisor into a bool buffer, the
+    division, np.putmask of X_OVER_ZERO) and copies the rows out, so it
+    allocates nothing.  Constant-only subtrees are folded by _eval.  Every
+    node applies _eval's ufunc to the same values, so h(X) has the bits of
+    evaluate_all(exprs, X, protected).  IEEE errors are reported under the
+    caller's np.errstate, as there, and the folding's under the binder's.
+    """
+
+    def __init__(self, exprs, shape, protected=False):
+        d, shape = len(exprs), tuple(shape)
+        self._x, self._h = np.empty((d,) + shape), np.empty((d,) + shape)
+        self._x_in = np.moveaxis(self._x, 0, -1)
+        self._h_out = np.moveaxis(self._h, 0, -1)
+        self._protected = protected
+        self._steps = []
+        for i, e in enumerate(exprs):
+            row = self._h[i, ...]
+            value = self._bind(e, row)
+            if value is None:                   # a constant, filled once
+                row[...] = _eval(e, None, protected)
+            elif value is not row:              # a variable
+                self._steps.append((np.copyto, (row, value)))
+
+    def _bind(self, e, out=None):
+        """Add the steps of e; return the array holding its value then, or
+        None for a constant-only e.  out, if given, is the root's row."""
+        if e.kind == "var":
+            return self._x[e.value, ...]
+        if e.kind == "const":
+            return None
+        kids = e.children
+        vals = [self._bind(c) for c in kids]
+        if all(v is None for v in vals):
+            return None
+        if out is None:
+            # a child's register is free once read, and ufuncs run in place
+            out = next((v for c, v in zip(kids, vals)
+                        if v is not None and c.kind != "var"), None)
+            if out is None:
+                out = np.empty(self._x.shape[1:])
+        args = [np.asarray(_eval(c, None, self._protected)) if v is None
+                else v for c, v in zip(kids, vals)]
+        if self._protected and e.kind == "div":
+            # the divisor is tested before the quotient may overwrite it
+            zero = np.empty(out.shape, dtype=bool)
+            self._steps += [(np.equal, (args[1], _ZERO_0D, zero)),
+                            (np.divide, (*args, out)),
+                            (np.putmask, (out, zero, _X_OVER_ZERO_0D))]
+            return out
+        ufunc, extra = (_power(e) if e.kind == "pow"
+                        else (_UFUNCS[e.kind], ()))
+        self._steps.append((ufunc, (*args, *extra, out)))
+        return out
+
+    def __call__(self, X, out=None):
+        """h(X) for X of the bound shape (..., d), written into out if given."""
+        self._x_in[...] = X
+        for ufunc, args in self._steps:
+            ufunc(*args)
+        if out is None:
+            return self._h_out.copy()
+        out[...] = self._h_out
+        return out
+
+
+# 0-d operands make cheaper ufunc calls than Python floats
+_ZERO_0D, _X_OVER_ZERO_0D = np.array(0.0), np.array(X_OVER_ZERO)
 
 
 # -- printing ---------------------------------------------------------------

@@ -206,7 +206,7 @@ class ThetaKernel:
 
     def __call__(self):
         mono = self._mono
-        np.take(self.pad, self._factors, 0, self._gather, "clip")
+        self.pad.take(self._factors, 0, self._gather, "clip")
         np.multiply(self._first, self._second, mono)
         for row in self._rest:
             np.multiply(mono, row, mono)

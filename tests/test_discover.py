@@ -360,6 +360,53 @@ def test_equiv_r_with_symmetry_weight_still_recovers_clean_truth():
     assert model.provenance["lambda"] == 0.1
 
 
+def test_a_one_dimensional_pair_is_one_column():
+    # X and dX of shape (N,) are N rows of one column, as (N, 1) is; rows
+    # that do not pair up are refused.
+    lib = build_library(1, 2)
+    x = np.random.default_rng(4).uniform(0.5, 1.5, size=50)
+    dx = -0.3 * x + 0.2 * x ** 2
+    cols = (x[:, None], dx[:, None])
+    for pair in ((x, dx), (x[:, None], dx), (x, dx[:, None])):
+        Theta, dX, Xs = design(pair, lib)
+        assert Theta.shape == (50, lib.size) and dX.shape == (50, 1)
+        assert Theta.tobytes() == design(cols, lib)[0].tobytes()
+        assert dX.tobytes() == dx.tobytes()
+        assert [X.shape for X in Xs] == [(50, 1)]
+        assert np.array_equal(stlsq(Theta, dX, 0.05),
+                              stlsq(*design(cols, lib)[:2], 0.05))
+    cfg = DiscoveryConfig(seed=3, gp=GpConfig(population=16, generations=3))
+    want = gp_fit(cols, cfg)
+    got = gp_fit((x, dx), cfg)
+    assert [to_string(e) for e in got.exprs] == [
+        to_string(e) for e in want.exprs]
+    assert got.fitness == want.fitness
+    for bad in ((x, dx[:-1]), (x[:, None], np.zeros((49, 1)))):
+        with pytest.raises(ValueError, match="rows"):
+            design(bad, lib)
+        with pytest.raises(ValueError, match="rows"):
+            gp_fit(bad, cfg)
+
+
+def test_design_fills_one_trajectory_at_a_time():
+    # Theta and dX are those of the stacked training rows, bit for bit, and
+    # _rows gathers any rows of the stacked states from the trajectories.
+    from symodes.dynamics import make_dataset
+
+    sys = get_system("oscillator")
+    lib = sys.library()
+    ds = make_dataset(sys, seed=2, counts=(5, 1, 0))
+    X, dX = ds.regression_arrays("train")
+    Theta, dXd, Xs = design(ds, lib)
+    assert Theta.base is dXd.base and Theta.base.flags.f_contiguous
+    assert np.array_equal(Theta, lib.evaluate(X))
+    assert np.array_equal(dXd, dX)
+    assert all(a is tr.regression_states() for a, tr in zip(Xs, ds.train))
+    idx = np.random.default_rng(0).choice(len(X), size=120, replace=False)
+    assert discover._rows(Xs, idx).tobytes() == X[idx].tobytes()
+    assert discover._rows(Xs, idx[:0]).shape == (0, 2)
+
+
 def test_equiv_r_dataset_and_its_training_pair_give_the_same_bits():
     # A Dataset with a validation split fits at the same lambda as its
     # training rows alone.  Here validation derivative error would pick
@@ -505,6 +552,26 @@ def test_draws_equal_generator_draws():
                         == rng.standard_normal())
 
 
+def test_draws_hand_the_stream_back_at_every_block_offset():
+    # rng moves the bit generator back to the draws' place, with the kept
+    # half of a 32-bit draw, and the next draw takes both back.  Handing
+    # over at every offset in a block, past its end too, covers a block
+    # read to its last output with no half kept.
+    for k in range(discover._DRAW_BLOCK + 3):
+        rng = np.random.default_rng(k)
+        draws = discover._Draws(np.random.default_rng(k))
+        assert draws.below(7) == int(rng.integers(7))       # keeps a half
+        assert draws.rng.standard_normal() == rng.standard_normal()
+        assert [draws.random() for _ in range(k)] == [
+            rng.random() for _ in range(k)]
+        assert draws.below(1000) == int(rng.integers(1000))
+        assert draws.rng.standard_normal() == rng.standard_normal()
+        assert [draws.below(5) for _ in range(3)] == rng.integers(
+            5, size=3).tolist()
+        assert draws.rng.integers(9) == rng.integers(9)     # its own half
+        assert draws.below(3) == int(rng.integers(3))
+
+
 class _GeneratorDraws:
     """The draws object's interface on the plain Generator methods."""
 
@@ -535,6 +602,57 @@ def test_gp_evolution_equals_generator_draws(with_penalty, monkeypatch):
     fast = fit()
     monkeypatch.setattr(discover, "_Draws", _GeneratorDraws)
     assert fit() == fast
+
+
+def _runs(history):
+    """[value, count] for each run of equal values in a history."""
+    out = []
+    for v in history:
+        if out and out[-1][0] == v:
+            out[-1][1] += 1
+        else:
+            out.append([v, 1])
+    return out
+
+
+# A small gp_fit on fixed data, recorded before the evolution's overhead
+# was cut (block draws, unchecked children, one list of totals per
+# generation) on numpy 2.4: a change that keeps every draw, tree and bit of
+# the engine keeps these.  The second tree's x1/x1 is a protected division.
+GP_PINNED_TREES = [
+    "0.990487814309595*x2",
+    "1.8462030167146408*(0.881259348120232*(x1/x1 - (-1.462155788318599))"
+    "/x2/((0.7108827139514271 - (-1.3009386597340966))/x2"
+    "*(((-1.9965800603862736) + 0.02517483826231892)/x1)))"]
+GP_PINNED = {
+    False: ([(0.010706518514493751, 0.009706518514493752, 0.0, 1),
+             (0.24280864581031011, 0.22180864581031012, 0.0, 21)],
+            [[[0.010706518514493751, 13]],
+             [[1.028070332888299, 1], [0.9477994144172349, 1],
+              [0.3504135101891762, 2], [0.2515315327387018, 2],
+              [0.24280864581031011, 7]]]),
+    True: ([(0.011703812322243887, 0.009706518514493752,
+             0.009972938077501353, 1),
+            (0.26459193758372757, 0.22180864581031012, 0.21783291773417426,
+             21)],
+           [[[0.011703812322243887, 13]],
+            [[1.128070332888299, 1], [1.0290287702897025, 1],
+             [0.37831691074768237, 2], [0.27343358061822765, 2],
+             [0.26459193758372757, 7]]]),
+}
+
+
+@pytest.mark.parametrize("with_penalty", [False, True])
+def test_gp_fit_keeps_its_recorded_trees_fitness_and_history(with_penalty):
+    X = np.random.default_rng(9).uniform(-1.5, 1.5, size=(60, 2))
+    dX = X @ ROTATION.T - 0.1 * X
+    cfg = DiscoveryConfig(seed=1, gp=GpConfig(population=48, generations=12))
+    symmetry = [Generator.linear(ROTATION)] if with_penalty else ()
+    res = gp_fit((X, dX), cfg, symmetry=symmetry)
+    fitness, histories = GP_PINNED[with_penalty]
+    assert [to_string(e) for e in res.exprs] == GP_PINNED_TREES
+    assert res.fitness == fitness
+    assert [_runs(h) for h in res.history] == histories
 
 
 def test_every_gp_fitness_evaluation_goes_through_the_module_global(

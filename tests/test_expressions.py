@@ -3,9 +3,9 @@ import pickle
 import numpy as np
 import pytest
 
-from symodes.expressions import (Expr, ExprSyntaxError, differentiate,
-                                 evaluate, evaluate_all, expand, monomial,
-                                 parse, to_string)
+from symodes.expressions import (Expr, ExprSyntaxError, TreeField,
+                                 differentiate, evaluate, evaluate_all,
+                                 expand, monomial, parse, to_string)
 
 
 def test_parse_and_eval_basics():
@@ -243,6 +243,42 @@ def test_evaluate_all_stacks_evaluate():
                                       equal_nan=True)
             row = evaluate_all(exprs, X[1], protected)
             assert np.array_equal(row, out[1], equal_nan=True)
+
+
+def test_tree_field_equals_evaluate_all_bit_for_bit():
+    # A bound field runs _eval's ufuncs on the same values into its own
+    # registers, so it gets evaluate_all's bits in every batch shape: x/0
+    # and 0/0 (protected or not), exp overflow, pow nodes (2 is np.square),
+    # folded constant-only subtrees, and constant-only and variable roots,
+    # whatever out held.
+    rng = np.random.default_rng(11)
+    X = rng.choice([0.0, -1.0, 0.5, 2.0, 750.0], size=(4, 6, 3))
+    X[0] = rng.uniform(-3, 3, size=(6, 3))
+    trees = [_random_expr(rng, 3, 6) for _ in range(240)]
+    trees += [parse(t, 3) for t in (
+        "2", "x2", "-x3", "1/0", "0/0", "exp(1000)", "x1/0", "0/x1",
+        "x1/(x2 - x2)", "(x1 - x1)/(x3 - x3)", "x1/(1 - 1)", "exp(x1)*x2",
+        "exp(x3)*exp(x3) - exp(x3)^2", "x1 + exp(800)/exp(800)",
+        "x1^0 + x2^1 + x3^2 + (x1 - x2)^3", "(2 - 3*1.5)^3*x1",
+        "x2*(exp(2)/(1 - 1) + 0.5^2)", "x3^2/x3")]
+    assert len(trees) % 3 == 0                      # fields of 3 trees
+    batches = [X, X[1], X[1, 2], X[:, :1]]         # (4, 6), (6,), (), (4, 1)
+    with np.errstate(all="ignore"):
+        for protected in (False, True):
+            for i in range(0, len(trees), 3):
+                exprs = trees[i:i + 3]
+                for x in batches:
+                    want = evaluate_all(exprs, x, protected)
+                    field = TreeField(exprs, x.shape[:-1], protected)
+                    for fill in (np.nan, 0.0):
+                        out = np.full(x.shape, fill)
+                        assert field(x, out) is out
+                        assert np.array_equal(out.view(np.uint64),
+                                              want.view(np.uint64)), exprs
+                    fresh = field(x)
+                    assert fresh.flags.c_contiguous
+                    assert np.array_equal(fresh.view(np.uint64),
+                                          want.view(np.uint64)), exprs
 
 
 def test_ieee_errors_follow_the_callers_errstate():

@@ -15,7 +15,9 @@ odd s, so a slow stretch of a shared host falls on both sides alike.  The
 file holds, per workload and side, each run's end-to-end metrics, its
 correct flag, failed operations and set-up CPU repeats (setup_cpu_s, of
 which setup_s is the median); per metric the median and quartiles of each
-side and the number of pairs in which the change is lower; the joint
+side, the number of pairs in which the change is lower, and a verdict
+("claim met", "regression" or "neither", by verdict() against the bounds
+in the checkout's BENCHMARK.json, which it only reads); the joint
 recoveries per method; and whether the last round's report.json,
 tables.csv and ltp.csv are byte-identical in each pair.  For a pair whose
 files differ it also names the report.json records, by (method, run), that
@@ -95,8 +97,35 @@ def report_changes(parent, change):
     return out
 
 
-def summary(runs, metrics):
-    """Median, quartiles and change-lower pair count per metric."""
+def verdict(entry, spec):
+    """"claim met", "regression" or "neither" for one metric's summary.
+
+    spec is the metric's end_to_end entry in BENCHMARK.json (None if it has
+    none): "better" says which way is better ("lower" without a spec), and
+    "bound" is the fraction of the parent's median by which the change's
+    median may be worse.  A claim is met when the change is better in at
+    least 9 of every 10 pairs and its median beats the parent's by more than
+    the parent's quartile spread; a regression is a median worse than the
+    bound allows (never, without a bound).
+    """
+    sign = -1.0 if spec and spec.get("better") == "higher" else 1.0
+    parent, change = entry["parent"], entry["change"]
+    gain = sign * (parent["median"] - change["median"])
+    better = (entry["change_lower_pairs"] if sign > 0
+              else entry["pairs"] - entry["change_lower_pairs"]
+              - entry["equal_pairs"])
+    spread = parent["quartiles"][1] - parent["quartiles"][0]
+    if 10 * better >= 9 * entry["pairs"] and gain > spread:
+        return "claim met"
+    if spec and "bound" in spec and -gain > spec["bound"] * abs(
+            parent["median"]):
+        return "regression"
+    return "neither"
+
+
+def summary(runs, metrics, specs):
+    """Median, quartiles, change-lower pair count and verdict per metric;
+    specs maps a metric to its BENCHMARK.json end_to_end entry."""
     out = {}
     for k in metrics:
         entry = {}
@@ -106,9 +135,11 @@ def summary(runs, metrics):
                 if len(v) > 1 else [v[0]] * 3
             entry[side] = {"median": statistics.median(v),
                            "quartiles": [q[0], q[2]]}
-        entry["change_lower_pairs"] = sum(
-            c < p for p, c in zip(runs["parent"][k], runs["change"][k]))
-        entry["pairs"] = len(runs["parent"][k])
+        pairs = list(zip(runs["parent"][k], runs["change"][k]))
+        entry["change_lower_pairs"] = sum(c < p for p, c in pairs)
+        entry["equal_pairs"] = sum(c == p for p, c in pairs)
+        entry["pairs"] = len(pairs)
+        entry["verdict"] = verdict(entry, specs.get(k))
         out[k] = entry
     return out
 
@@ -126,6 +157,8 @@ def main(argv=None):
     short = {s: git(top, "rev-parse", "--short", shas[s]) for s in SIDES}
     seeds = parse_seeds(args.seeds)
     workloads = args.workloads.split(",")
+    with open(os.path.join(top, "BENCHMARK.json")) as fh:
+        specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     record = {
         "parent": short["parent"],
@@ -176,7 +209,7 @@ def main(argv=None):
                 metrics = [k for k in runs["parent"] if k not in PER_RUN]
                 record["pairs"][w] = dict(runs, outputs_identical=identical,
                                           outputs_changed=changes)
-                record["summary"][w] = summary(runs, metrics)
+                record["summary"][w] = summary(runs, metrics, specs)
                 record["joint_success"][w] = joint
         finally:
             for s in SIDES:
