@@ -16,7 +16,7 @@ from .constraint import (EquivariantBasis, assemble_equivariant_basis,
                          unvec, vec)
 from .dynamics import (Dataset, DataSpec, NoiseSpec, OdeSystem, SYSTEMS,
                        SindyModel, Trajectory, estimate_derivatives,
-                       get_system, gp_smooth, gp_smooth_series, load_dataset,
+                       get_system, gp_smooth_series, load_dataset,
                        make_dataset, sample_initial, save_dataset, split_rng)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -99,21 +99,18 @@ class DiscoveryConfig:
 
 def _regression_parts(dataset):
     """(X, dX) row blocks: one per training trajectory of a Dataset, or the
-    pair itself, each array (N, -1), so a 1-D one is a column."""
+    pair itself, each array (N, -1), so a 1-D one is a column.  Every fitter
+    reads its training rows here; an empty training split raises."""
     if isinstance(dataset, Dataset):
-        return dataset.regression_parts("train")
+        parts = dataset.regression_parts("train")
+        if not parts:
+            raise ValueError("the training split is empty: no rows to fit")
+        return parts
     X, dX = (np.asarray(a, float) for a in dataset)
     X, dX = X.reshape(len(X), -1), dX.reshape(len(dX), -1)
     if len(X) != len(dX):
         raise ValueError(f"X has {len(X)} rows but dX has {len(dX)}")
     return [(X, dX)]
-
-
-def _regression_data(dataset):
-    """The (X, dX) of _regression_parts, stacked."""
-    if isinstance(dataset, Dataset):
-        return dataset.regression_arrays("train")
-    return _regression_parts(dataset)[0]
 
 
 def _rows(parts, idx):
@@ -310,46 +307,21 @@ def _masked_minimize(W0, active, reduced, lam, penalty):
     return W, bool(res.success)
 
 
-def _equiv_r_rounds(reduced, lam, penalty, threshold):
-    """Sequential thresholding by masked L-BFGS-B at one lambda.
-
-    Each round starts from the previous W on the new support.  A
-    DegenerateLossError or a non-finite objective (FloatingPointError)
-    propagates from the round that meets it.
-    """
-    p, d = reduced[1].shape
-    W_prev = np.linalg.lstsq(*reduced[:2], rcond=None)[0].T
-    converged = True
-    rounds = 0
-
-    def fit(active):
-        nonlocal W_prev, converged, rounds
-        rounds += 1
-        if not active.any():
-            return np.zeros((d, p))
-        W, ok = _masked_minimize(W_prev * active, active, reduced, lam,
-                                 penalty)
-        converged = converged and ok
-        W_prev = W
-        return W
-
-    W, _ = _threshold_rounds(fit, (d, p), threshold)
-    return W, {"rounds": rounds, "lambda": lam, "converged": converged}
-
-
 def equiv_r_fit(dataset, lib, gens, cfg=None):
     """Symmetry-regularized regression with sequential thresholding.
 
     Minimizes the mean squared equation error plus lambda times the
     configured symmetry loss, evaluated on a fixed subsample of
     min(EQUIV_R_PENALTY_POINTS, N) of the N training states; all rounds
-    share one _reduce, so the data term costs O(d p^2), not O(N).  lambda
-    is cfg.lambda_symm, or EQUIV_R_LAMBDA when None; a Dataset and its
-    training (X, dX) pair give the same W.  A DegenerateLossError or a
-    non-finite objective (FloatingPointError, naming lambda) raises.  An
-    empty gens runs one fit with lambda 0, i.e. thresholded least squares
-    by L-BFGS-B; the CLI and the benchmark refuse equiv-r without a
-    generator.
+    share one _reduce, so the data term costs O(d p^2), not O(N).  Each
+    thresholding round is one masked L-BFGS-B solve started from the
+    previous round's W (the first from least squares) on the new support.
+    lambda is cfg.lambda_symm, or EQUIV_R_LAMBDA when None; a Dataset and
+    its training (X, dX) pair give the same W.  A DegenerateLossError or a
+    non-finite objective (FloatingPointError, naming lambda) raises from
+    the round that meets it.  An empty gens runs one fit with lambda 0,
+    i.e. thresholded least squares by L-BFGS-B; the CLI and the benchmark
+    refuse equiv-r without a generator.
     """
     cfg = cfg or DiscoveryConfig()
     Theta, dX, Xs = design(dataset, lib)
@@ -366,8 +338,22 @@ def equiv_r_fit(dataset, lib, gens, cfg=None):
 
     lam = 0.0 if not gens else float(
         EQUIV_R_LAMBDA if cfg.lambda_symm is None else cfg.lambda_symm)
-    W, info = _equiv_r_rounds(reduced, lam, penalty, cfg.threshold)
-    prov = {"method": "equiv-r", "loss_kind": cfg.loss_kind, **info}
+    W_prev = np.linalg.lstsq(*reduced[:2], rcond=None)[0].T
+    converged, rounds = True, 0
+
+    def fit(active):
+        nonlocal W_prev, converged, rounds
+        rounds += 1
+        if not active.any():
+            return np.zeros(W_prev.shape)
+        W_prev, ok = _masked_minimize(W_prev * active, active, reduced, lam,
+                                      penalty)
+        converged = converged and ok
+        return W_prev
+
+    W, _ = _threshold_rounds(fit, W_prev.shape, cfg.threshold)
+    prov = {"method": "equiv-r", "loss_kind": cfg.loss_kind, "rounds": rounds,
+            "lambda": lam, "converged": converged}
     return SindyModel(lib, W, provenance=prov)
 
 
@@ -789,24 +775,26 @@ class GpResult:
 def gp_fit(dataset, cfg=None, symmetry=()):
     """Evolve one expression per output dimension.
 
-    symmetry, when given, is a sequence of generators v; the penalty uses
-    the group elements exp(cfg.eps * v) with weight cfg.lambda_symm
-    (GP_LAMBDA when None).  It compares candidates at precomputed
-    transformed points against the pushed-forward measured derivatives;
-    those points join the fit points in each candidate's one tree
-    evaluation, so the penalty adds GP_PENALTY_POINTS rows (fewer if there
-    are fewer fit rows) per generator to it.  An empty symmetry is plain
-    GP, with provenance method "gp"; the CLI and the benchmark refuse
-    equiv-gp-r without a generator.
+    The fit rows are the training rows, or GP_MAX_FIT_SAMPLES of them drawn
+    by split_rng(cfg.seed, 0) and gathered by _rows.  symmetry, when given,
+    is a sequence of generators v; the penalty uses the group elements
+    exp(cfg.eps * v) with weight cfg.lambda_symm (GP_LAMBDA when None).  It
+    compares candidates at precomputed transformed points against the
+    pushed-forward measured derivatives; those points join the fit points
+    in each candidate's one tree evaluation, so the penalty adds
+    GP_PENALTY_POINTS rows (fewer if there are fewer fit rows) per
+    generator to it.  An empty symmetry is plain GP, with provenance
+    method "gp"; the CLI and the benchmark refuse equiv-gp-r without a
+    generator.
     """
     cfg = cfg or DiscoveryConfig()
-    X, dX = _regression_data(dataset)
+    parts = _regression_parts(dataset)
+    keep = np.arange(sum(len(X) for X, _ in parts))
+    if len(keep) > GP_MAX_FIT_SAMPLES:
+        keep = np.sort(split_rng(cfg.seed, 0).choice(
+            len(keep), size=GP_MAX_FIT_SAMPLES, replace=False))
+    X, dX = (_rows(blocks, keep) for blocks in zip(*parts))
     d = dX.shape[1]
-    rng0 = split_rng(cfg.seed, 0)
-    if X.shape[0] > GP_MAX_FIT_SAMPLES:
-        keep = np.sort(rng0.choice(X.shape[0], size=GP_MAX_FIT_SAMPLES,
-                                   replace=False))
-        X, dX = X[keep], dX[keep]
     lam = 0.0
     penalty_all = None
     if symmetry:

@@ -459,12 +459,6 @@ def gp_smooth_series(t, y):
     return (mean[:, 0], infos[0]) if y.ndim == 1 else (mean, infos)
 
 
-def gp_smooth(traj):
-    """Trajectory with the smoothed field filled in, its d series in one call."""
-    mean, _ = gp_smooth_series(traj.times, traj.states)
-    return replace(traj, smoothed=mean)
-
-
 # -- derivative estimation -----------------------------------------------------
 
 
@@ -500,6 +494,7 @@ def differentiate_trajectory(traj):
 # -- datasets ------------------------------------------------------------------
 
 SPLIT_NAMES = ("train", "val", "test")
+SMOOTH_SPLITS = ("train", "val")        # make_dataset's, and format 1's
 
 
 @dataclass
@@ -544,8 +539,32 @@ class Dataset:
         return tuple(np.concatenate(a) for a in zip(*parts))
 
 
+def derive_targets(splits, smooth_splits):
+    """Fill in the smoothed states and derivatives of the smoothed splits.
+
+    splits maps split names to lists of Trajectory and is updated in place.
+    The series of the splits named in smooth_splits, train before val, lie
+    on one time grid, so they are smoothed by a single gp_smooth_series
+    call: each lengthscale's kernel is eigendecomposed once for all of them
+    (see the smoothing notes above), and a series' smoothed states match
+    smoothing its trajectory alone up to BLAS summation order.  Each
+    trajectory is then differentiated from its smoothed states.  The
+    targets are a function of the observed states and smooth_splits alone,
+    which make_dataset and load_dataset both pass here.
+    """
+    smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits[s]]
+    if smoothed:
+        trajs = [tr for s in smoothed for tr in splits[s]]
+        means, _ = gp_smooth_series(trajs[0].times,
+                                    np.hstack([tr.states for tr in trajs]))
+        per_traj = iter(np.hsplit(means, len(trajs)))
+        for s in smoothed:
+            splits[s] = [differentiate_trajectory(
+                replace(tr, smoothed=next(per_traj).copy())) for tr in splits[s]]
+
+
 def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
-                 counts=None, smooth_splits=("train", "val")):
+                 counts=None, smooth_splits=SMOOTH_SPLITS):
     """Generate a full train/val/test dataset for one registry system.
 
     Any of the published conventions can be overridden; the internal
@@ -558,11 +577,8 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     the same bits for a row whatever the batch, so each trajectory's clean
     and noisy states equal integrating it alone, bit for bit.
 
-    Every series of the smoothed splits lies on one time grid, so they are
-    smoothed by a single gp_smooth_series call: each lengthscale's kernel
-    is eigendecomposed once for all of them (see the smoothing notes
-    above).  A series' smoothed states therefore match smoothing its
-    trajectory alone up to BLAS summation order.
+    The splits named in smooth_splits get their regression targets from
+    derive_targets, as a saved copy of the dataset gets them on loading.
     """
     if isinstance(system, str):
         system = get_system(system)
@@ -588,19 +604,12 @@ def make_dataset(system, seed, noise=None, n_samples=None, dt=None,
     bounds = np.cumsum((0,) + tuple(counts))
     splits = {split: trajs[lo:hi]
               for split, lo, hi in zip(SPLIT_NAMES, bounds, bounds[1:])}
-    smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits[s]]
-    if smoothed:
-        trajs = [tr for s in smoothed for tr in splits[s]]
-        means, _ = gp_smooth_series(trajs[0].times,
-                                    np.hstack([tr.states for tr in trajs]))
-        per_traj = iter(np.hsplit(means, len(trajs)))
-        for s in smoothed:
-            splits[s] = [differentiate_trajectory(
-                replace(tr, smoothed=next(per_traj).copy())) for tr in splits[s]]
+    derive_targets(splits, smooth_splits)
     return Dataset(system=system.name, dim=system.dim, seed=int(seed), dt=dt,
                    noise=noise, splits=splits, threshold=spec.threshold,
                    meta={"n_samples": n_samples, "internal_dt": INTERNAL_DT,
-                         "counts": tuple(counts)})
+                         "counts": tuple(counts),
+                         "smooth_splits": tuple(smooth_splits)})
 
 
 # -- serialization -------------------------------------------------------------
@@ -613,15 +622,16 @@ def _fmt(v):
 def save_dataset(ds, outdir, extra_meta=None):
     """Directory with manifest.json and one CSV per trajectory.
 
-    CSV columns: t, x1..xd, then xs1..xsd when smoothed states exist, then
-    dx1..dxd when derivatives exist.  Floats are written with shortest
-    round-trip formatting, so reloading is bit-exact.
+    A CSV holds the observations only, in columns t, x1..xd; the manifest's
+    meta.smooth_splits names the splits whose targets load_dataset derives
+    again.  Floats are written with shortest round-trip formatting, so
+    reloading is bit-exact.
     """
     import os
     os.makedirs(outdir, exist_ok=True)
     manifest = {
         "format": "symodes-dataset",
-        "format_version": 1,
+        "format_version": 2,
         "tool_version": _tool_version,
         "system": ds.system,
         "dim": ds.dim,
@@ -641,26 +651,20 @@ def save_dataset(ds, outdir, extra_meta=None):
     for split, trajs in ds.splits.items():
         for j, tr in enumerate(trajs):
             path = os.path.join(outdir, f"{split}_{j:03d}.csv")
-            cols = [f"x{i+1}" for i in range(tr.dim)]
-            if tr.smoothed is not None:
-                cols += [f"xs{i+1}" for i in range(tr.dim)]
-            if tr.derivs is not None:
-                cols += [f"dx{i+1}" for i in range(tr.dim)]
             with open(path, "w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(["t"] + cols)
-                times = tr.times
-                for k in range(tr.n_samples):
-                    row = [times[k]]
-                    row.extend(tr.states[k])
-                    if tr.smoothed is not None:
-                        row.extend(tr.smoothed[k])
-                    if tr.derivs is not None:
-                        row.extend(tr.derivs[k])
-                    w.writerow([_fmt(v) for v in row])
+                w.writerow(["t"] + [f"x{i+1}" for i in range(tr.dim)])
+                w.writerows([_fmt(v) for v in row] for row in
+                            np.column_stack((tr.times, tr.states)))
 
 
 def load_dataset(indir):
+    """The Dataset saved in indir, its targets derived by derive_targets.
+
+    Format 1 files also hold smoothed (xs*) and derivative (dx*) columns;
+    they are ignored, and the splits of SMOOTH_SPLITS, which every format 1
+    file was made with, are smoothed again.
+    """
     import os
     with open(os.path.join(indir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -673,23 +677,15 @@ def load_dataset(indir):
         for j in range(count):
             path = os.path.join(indir, f"{split}_{j:03d}.csv")
             with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            header, data = rows[0], np.array(rows[1:], dtype=float)
+                data = np.array(list(csv.reader(fh))[1:], dtype=float)
             t = data[:, 0]
-            states = data[:, 1:1 + dim]
-            smoothed = derivs = None
-            if f"xs1" in header:
-                c = header.index("xs1")
-                smoothed = data[:, c:c + dim]
-            if f"dx1" in header:
-                c = header.index("dx1")
-                derivs = data[:, c:c + dim]
             dt = float(t[1] - t[0]) if len(t) > 1 else manifest["dt"]
-            trajs.append(Trajectory(t0=float(t[0]), dt=dt, states=states,
-                                    smoothed=smoothed, derivs=derivs))
+            trajs.append(Trajectory(t0=float(t[0]), dt=dt,
+                                    states=data[:, 1:1 + dim]))
         splits[split] = trajs
-    noise = NoiseSpec(manifest["noise"]["kind"], manifest["noise"]["sigma"])
     meta = dict(manifest.get("meta", {}))
+    derive_targets(splits, meta.get("smooth_splits", SMOOTH_SPLITS))
+    noise = NoiseSpec(manifest["noise"]["kind"], manifest["noise"]["sigma"])
     return Dataset(system=manifest["system"], dim=dim, seed=manifest["seed"],
                    dt=manifest["dt"], noise=noise, splits=splits,
                    threshold=manifest["threshold"], meta=meta)

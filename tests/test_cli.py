@@ -350,6 +350,52 @@ def test_discover_refuses_a_system_other_than_the_datasets(tmp_path,
                    "--out", str(model_dir)) == 0
 
 
+def test_discover_derives_a_saved_datasets_targets_again(tmp_path, capsys):
+    # A saved dataset holds observations only, and discover --dataset fits
+    # the W of discover --system on the same seed and data section.  The
+    # smoothed and derivative columns of a format 1 file are ignored: here
+    # they hold wrong values, and the W stays that of the dataset.
+    data = tmp_path / "data"
+    cfg = write_config(tmp_path, {
+        "system": "oscillator", "seeds": {"master": 7},
+        "data": {"n_samples": 40, "n_train": 4, "n_val": 1, "n_test": 1}})
+    assert run_cli("generate", "--config", cfg, "--out", str(data)) == 0
+
+    def fitted(*source):
+        out = tmp_path / "model"
+        assert run_cli("discover", *source, "--method", "sindy",
+                       "--out", str(out)) == 0
+        return json.loads((out / "model.json").read_text())["W"]
+
+    want = fitted("--config", cfg)
+    assert (data / "train_000.csv").read_text().startswith("t,x1,x2\n")
+    assert fitted("--dataset", str(data)) == want
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    del manifest["meta"]["smooth_splits"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    for path in data.glob("*.csv"):
+        header, *rows = path.read_text().splitlines()
+        x = np.array([row.split(",") for row in rows], dtype=float)[:, 1:]
+        bad = np.hstack([3.0 * x, np.zeros_like(x)])     # xs*, dx*
+        path.write_text(header + ",xs1,xs2,dx1,dx2\n" + "".join(
+            row + "".join("," + repr(v) for v in extra) + "\n"
+            for row, extra in zip(rows, bad.tolist())))
+    assert fitted("--dataset", str(data)) == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["sindy", "equiv-c", "equiv-r", "gp"])
+def test_an_empty_training_split_exits_2_and_names_it(tmp_path, capsys,
+                                                      method):
+    cfg = write_config(tmp_path, {"system": "oscillator",
+                                  "data": {"n_train": 0},
+                                  "out": str(tmp_path / "m")})
+    assert run_cli("discover", "--config", cfg, "--method", method) == 2
+    assert "ValueError: the training split is empty" in \
+        capsys.readouterr().err
+
+
 def test_equiv_r_non_finite_objective_is_a_public_error(tmp_path, capsys):
     # On growth the fgfe flow of an L-BFGS-B iterate overflows, and the
     # failure reaches the user by its public name, with the lambda it hit.

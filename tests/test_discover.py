@@ -425,6 +425,37 @@ def test_equiv_r_dataset_and_its_training_pair_give_the_same_bits():
     assert a.provenance["lambda"] == discover.EQUIV_R_LAMBDA
 
 
+@pytest.mark.parametrize("with_penalty", [False, True])
+def test_gp_dataset_and_its_training_pair_give_the_same_bits(with_penalty):
+    # 600 training rows: gp_fit gathers its GP_MAX_FIT_SAMPLES rows from the
+    # trajectories with the draws it takes on the stacked pair.
+    from symodes.dynamics import make_dataset
+
+    sys = get_system("oscillator")
+    ds = make_dataset(sys, seed=0, counts=(6, 2, 0))
+    X, dX = ds.regression_arrays("train")
+    assert len(X) > discover.GP_MAX_FIT_SAMPLES
+    cfg = DiscoveryConfig(seed=4, gp=GpConfig(population=32, generations=6))
+    symmetry = sys.generators if with_penalty else ()
+    a = gp_fit(ds, cfg, symmetry=symmetry)
+    b = gp_fit((X, dX), cfg, symmetry=symmetry)
+    assert [to_string(e) for e in a.exprs] == [to_string(e) for e in b.exprs]
+    assert a.fitness == b.fitness and a.history == b.history
+    assert a.provenance == b.provenance
+
+
+@pytest.mark.parametrize("method", ["sindy", "equiv-c", "equiv-r", "gp"])
+def test_an_empty_training_split_is_named_by_every_fitter(method):
+    from symodes.bench import _fit_method
+    from symodes.dynamics import make_dataset
+
+    sys = get_system("oscillator")
+    ds = make_dataset(sys, seed=0, n_samples=20, counts=(0, 1, 1))
+    with pytest.raises(ValueError, match="training split is empty"):
+        _fit_method(method, ds, sys.library(), sys.generators,
+                    DiscoveryConfig(ds.threshold))
+
+
 def test_equiv_r_misses_no_growth_seed_that_equiv_c_recovers():
     # Paired on the same datasets, as criterion 05 counts pairs.
     from symodes.bench import success, term_set

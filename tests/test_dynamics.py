@@ -1,5 +1,6 @@
 """Registry systems, samplers, noise, smoothing, and dataset round trips."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from symodes.dynamics import (INTERNAL_DT, SMOOTH_LENGTHSCALE_FACTORS,
                               SPLIT_NAMES, SYSTEMS, LinearField,
                               NoiseSpec, SindyModel, Trajectory,
                               differentiate_trajectory, estimate_derivatives,
-                              get_system, gp_smooth, gp_smooth_series,
+                              get_system, gp_smooth_series,
                               load_dataset, make_dataset, sample_initial,
                               save_dataset, split_rng)
 from symodes.integrate import rk4_final, rk4_record
@@ -181,7 +182,7 @@ def test_smoothing_leaves_noiseless_series_unchanged():
     # Clean input must pass through nearly untouched: relative RMS change
     # at most 1e-3.
     traj, _ = oscillator_trajectory(11)
-    sm = gp_smooth(traj).smoothed
+    sm, _ = gp_smooth_series(traj.times, traj.states)
     rel = (np.linalg.norm(sm - traj.clean_states)
            / np.linalg.norm(traj.clean_states))
     assert rel <= 1e-3
@@ -223,7 +224,7 @@ def test_denoising_improves_on_at_least_95_percent_of_trajectories():
         tr = Trajectory(t0=0.0, dt=sys.data.dt,
                         states=noise.apply(clean, rngs[j]),
                         clean_states=clean)
-        sm = gp_smooth(tr).smoothed
+        sm, _ = gp_smooth_series(tr.times, tr.states)
         if (np.linalg.norm(sm - clean)
                 < np.linalg.norm(tr.states - clean)):
             improved += 1
@@ -339,7 +340,7 @@ def test_smoother_holds_a_basis_only_while_it_is_chosen(case):
 
 def test_differentiate_trajectory_uses_smoothed_states():
     traj, _ = oscillator_trajectory(14, n_samples=40)
-    sm = gp_smooth(traj)
+    sm = replace(traj, smoothed=gp_smooth_series(traj.times, traj.states)[0])
     out = differentiate_trajectory(sm)
     want = estimate_derivatives(sm.smoothed, sm.dt)
     np.testing.assert_array_equal(out.derivs, want)
@@ -584,8 +585,8 @@ def test_make_dataset_matches_one_trajectory_at_a_time():
     # All smoothed series share one smoother call; each matches smoothing
     # its trajectory alone up to BLAS summation order.
     for tr in ds.train + ds.val:
-        alone = differentiate_trajectory(gp_smooth(replace(tr, smoothed=None,
-                                                           derivs=None)))
+        alone = differentiate_trajectory(replace(
+            tr, smoothed=gp_smooth_series(tr.times, tr.states)[0]))
         scale = np.abs(alone.smoothed).max()
         assert np.abs(tr.smoothed - alone.smoothed).max() <= 1e-12 * scale
         assert np.abs(tr.derivs - alone.derivs).max() <= 1e-12 * scale / ds.dt
@@ -662,3 +663,32 @@ def test_save_load_round_trip(tmp_path):
             if ta.smoothed is not None:
                 np.testing.assert_array_equal(ta.smoothed, tb.smoothed)
                 np.testing.assert_array_equal(ta.derivs, tb.derivs)
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("oscillator", {}), ("growth", {}), ("seir", {}),
+    ("glycolytic", {"n_samples": 1500}),
+    ("oscillator", {"smooth_splits": ()})])
+def test_saved_datasets_hold_observations_and_reload_their_targets(
+        tmp_path, name, kw):
+    # A CSV holds t and the observed states; loading derives the smoothed
+    # states and derivatives of the splits the manifest names again, bit for
+    # bit, and leaves the other splits underived.
+    ds = make_dataset(name, 5, counts=(3, 2, 1), **kw)
+    save_dataset(ds, str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["format_version"] == 2
+    assert manifest["meta"]["smooth_splits"] == list(
+        kw.get("smooth_splits", ("train", "val")))
+    header = (tmp_path / "train_000.csv").read_text().splitlines()[0]
+    assert header == ",".join(["t"] + [f"x{i+1}" for i in range(ds.dim)])
+    back = load_dataset(str(tmp_path))
+    for split in SPLIT_NAMES:
+        for ta, tb in zip(ds.splits[split], back.splits[split], strict=True):
+            assert tb.states.tobytes() == ta.states.tobytes()
+            for a, b in ((ta.smoothed, tb.smoothed), (ta.derivs, tb.derivs)):
+                assert (b is None) == (a is None)
+                assert a is None or b.tobytes() == a.tobytes()
+    if kw.get("smooth_splits") == ():
+        assert all(tr.derivs is None for s in SPLIT_NAMES
+                   for tr in back.splits[s])

@@ -19,7 +19,9 @@ side, the number of pairs in which the change is lower, and a verdict
 ("claim met", "regression" or "neither", by verdict() against the bounds
 in the checkout's BENCHMARK.json, which it only reads); the joint
 recoveries per method; and whether the last round's report.json,
-tables.csv and ltp.csv are byte-identical in each pair.  For a pair whose
+tables.csv and ltp.csv are byte-identical in each pair; and each side's
+net src/ line count (src_lines: the lines of src/symodes/*.py, as
+`cat src/symodes/*.py | wc -l` counts them).  For a pair whose
 files differ it also names the report.json records, by (method, run), that
 changed, with whether their term sets or joint_success changed, and the
 methods of the tables.csv and ltp.csv rows that changed.  perfbench/ is
@@ -27,6 +29,7 @@ run as it is in each commit, not modified.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -73,6 +76,15 @@ def run_perfbench(tree, workload, seed):
         with open(os.path.join(out, "report", tag, name), "rb") as fh:
             outputs[name] = fh.read()
     return json.loads(proc.stdout.strip().splitlines()[-1]), details, outputs
+
+
+def src_lines(tree):
+    """Lines of src/symodes/*.py in tree."""
+    count = 0
+    for path in glob.glob(os.path.join(tree, "src", "symodes", "*.py")):
+        with open(path, "rb") as fh:
+            count += fh.read().count(b"\n")
+    return count
 
 
 def report_changes(parent, change):
@@ -174,6 +186,7 @@ def main(argv=None):
         try:
             for s in SIDES:
                 git(top, "worktree", "add", "--detach", trees[s], shas[s])
+            record["src_lines"] = {s: src_lines(trees[s]) for s in SIDES}
             for w in workloads:
                 runs = {s: {k: [] for k in PER_RUN} for s in SIDES}
                 joint = {s: {} for s in SIDES}
