@@ -552,7 +552,7 @@ def derive_targets(splits, smooth_splits):
     targets are a function of the observed states and smooth_splits alone,
     which make_dataset and load_dataset both pass here.
     """
-    smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits[s]]
+    smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits.get(s)]
     if smoothed:
         trajs = [tr for s in smoothed for tr in splits[s]]
         means, _ = gp_smooth_series(trajs[0].times,
