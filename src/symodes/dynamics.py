@@ -549,8 +549,8 @@ def derive_targets(splits, smooth_splits):
     (see the smoothing notes above), and a series' smoothed states match
     smoothing its trajectory alone up to BLAS summation order.  Each
     trajectory is then differentiated from its smoothed states.  The
-    targets are a function of the observed states and smooth_splits alone,
-    which make_dataset and load_dataset both pass here.
+    targets depend on the observed states and smooth_splits alone; both
+    make_dataset and load_dataset call this, so no file stores them.
     """
     smoothed = [s for s in SPLIT_NAMES if s in smooth_splits and splits.get(s)]
     if smoothed:
