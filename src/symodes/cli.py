@@ -295,7 +295,8 @@ def cmd_nullspace(cfg):
         beta = np.zeros(basis.nullity)
         beta[k] = 1.0
         print(f"Q{k+1}:")
-        for line in equation_strings(lib, materialize(basis, beta)):
+        W = np.round(materialize(basis, beta), 10)  # drops SVD residue
+        for line in equation_strings(lib, W):
             print(f"  {line}")
     if shown < basis.nullity:
         print(f"... ({basis.nullity - shown} more basis elements in "

@@ -1,21 +1,21 @@
 """Exact linear equivariance constraints on library coefficients.
 
-For h(x) = W Theta(x) and a linear generator v(x) = L x, requiring the
-commutator [v, h] to vanish identically is equivalent to the matrix equation
-L W = W M, where M is the structure matrix with J_Theta(x) L x = M Theta(x).
-Vectorizing W column-major (vec index k = i + d*mu for entry W[i, mu]) turns
-that into
+For h(x) = W Theta(x) and any generator v, the commutator [v, h](x) is
+linear in W.  Vectorizing W column-major (vec index k = i + d*mu for entry
+W[i, mu]), its derivative at x is the d x dp block that the igie gradient
+uses too (symmetry.commutator_sensitivity).  The constraint matrix C stacks
+those blocks, each scaled to unit norm, at a fixed seeded set of
+standard-normal points, for every generator and library alike.  For a
+linear generator on a polynomial library, [v, h] lies in span(Theta), so
+vanishing at more than p points in general position it vanishes everywhere.
 
-    (-M^T (+) L) vec(W) = 0,    A (+) B := A kron I + I kron B,
-
-one dp x dp block per generator.  Stacking the blocks and taking the SVD
-nullspace yields an orthonormal basis Q for all exactly-equivariant
+The SVD nullspace of C yields an orthonormal basis Q for all equivariant
 coefficient matrices; every W = unvec(Q beta) satisfies the constraints to
 solver precision, which is how the constrained discovery engine searches only
 symmetric models.  Individual coefficients can be pinned to zero by deleting
 their columns from the stacked matrix: the nullspace is taken over the free
-coefficients only and Q holds exact zero rows at the pinned ones, which is
-what sequential thresholding uses.
+coefficients only and Q holds exact zero rows at the pins, which is what
+sequential thresholding uses.
 """
 
 from __future__ import annotations
@@ -24,16 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .library import generator_structure_matrix
+from .symmetry import commutator_sensitivity
 
 NULLSPACE_RTOL = 1e-10
+POINT_SEED = 0
+MIN_POINTS = 64                 # C has max(MIN_POINTS, 2 p) points
 
 
 @dataclass
 class EquivariantBasis:
     """Nullspace basis of the stacked constraint matrix.
 
-    C stacks one block per generator over all d*p coefficients.  Q has shape
+    C holds the scaled commutator rows over all d*p coefficients.  Q has shape
     (d*p, r) with orthonormal columns and exact zero rows at the pins;
     singular_values are those of C restricted to the unpinned columns,
     descending and zero-padded to one per unpinned coefficient.
@@ -61,42 +63,43 @@ def unvec(v, d, p):
     return np.asarray(v, dtype=float).reshape(p, d).T
 
 
-def constraint_block(M, L):
-    """-M^T kron I_d + I_p kron L; annihilates vec(W) iff L W = W M."""
-    M = np.asarray(M, dtype=float)
-    L = np.asarray(L, dtype=float)
-    p = M.shape[0]
-    d = L.shape[0]
-    return -np.kron(M.T, np.eye(d)) + np.kron(np.eye(p), L)
-
-
 def assemble_equivariant_basis(lib, generators, pins=()):
-    """Stack one constraint block per linear generator and take its nullspace.
+    """Stack every generator's constraint rows and take their nullspace.
 
     pins is an iterable of (row, column) coefficient positions forced to
     zero; their columns are deleted before the SVD.  The nullspace threshold
-    is NULLSPACE_RTOL times the largest singular value.
+    is NULLSPACE_RTOL times the largest singular value.  A generator of the
+    wrong dimension, or not finite at the points, raises ValueError naming it.
     """
     generators = tuple(generators)
     pins = tuple(sorted(set((int(i), int(mu)) for i, mu in pins)))
     if not generators and not pins:
         raise ValueError("need at least one generator or pin")
     d, p = lib.dim, lib.size
-    blocks = []
-    for gen in generators:
-        if not getattr(gen, "is_linear", False):
-            raise ValueError(
-                "exact constraints need linear generators; "
-                f"got {gen!r}")
-        M = generator_structure_matrix(lib, gen.matrix)
-        blocks.append(constraint_block(M, gen.matrix))
     free = np.ones(d * p, dtype=bool)
     for i, mu in pins:
         if not (0 <= i < d and 0 <= mu < p):
             raise ValueError(f"pin {(i, mu)} out of range for ({d}, {p})")
         free[i + d * mu] = False
-    C = np.vstack(blocks) if blocks else np.zeros((0, d * p))
-    _, s, Vt = np.linalg.svd(C[:, free], full_matrices=True)
+    X = np.random.default_rng(POINT_SEED).standard_normal(
+        (max(MIN_POINTS, 2 * p), d))
+    Th = lib.evaluate(X)
+    Jth = lib.jacobian(X, Th)
+    blocks = [np.zeros((0, d, d * p))]
+    for gen in generators:
+        if gen.dim != d:
+            raise ValueError(f"generator {gen!r} has dim {gen.dim}, not {d}")
+        with np.errstate(all="ignore"):
+            du = commutator_sensitivity(Th, Jth, gen(X), gen.jacobian(X))[2]
+        if not np.all(np.isfinite(du)):
+            raise ValueError(f"generator {gen!r} is not finite at the points")
+        du = du.reshape(len(X), d, d * p)
+        norm = np.linalg.norm(du, axis=(1, 2))[:, None, None]
+        blocks.append(du / np.where(norm > 0.0, norm, 1.0))
+    C = np.vstack(blocks).reshape(-1, d * p)
+    A = C[:, free]
+    # Vt is square either way; the thin SVD skips the unused left vectors
+    _, s, Vt = np.linalg.svd(A, full_matrices=len(A) < A.shape[1])
     smax = s[0] if len(s) else 0.0
     tol = NULLSPACE_RTOL * smax
     rank = int(np.sum(s > tol))
@@ -118,11 +121,5 @@ def materialize(basis, beta):
 
 
 def constraint_residual(basis, W):
-    """max over generators of |L W - W M|_F, for reporting and tests."""
-    W = np.asarray(W, dtype=float)
-    worst = 0.0
-    for gen in basis.generators:
-        M = generator_structure_matrix(basis.lib, gen.matrix)
-        worst = max(worst, float(np.linalg.norm(
-            gen.matrix @ W - W @ M)))
-    return worst
+    """|C vec W|, for reporting and tests."""
+    return float(np.linalg.norm(basis.C @ vec(W)))

@@ -670,6 +670,8 @@ def load_dataset(indir):
         manifest = json.load(fh)
     if manifest.get("format") != "symodes-dataset":
         raise ValueError(f"{indir} does not look like a dataset directory")
+    if (version := manifest.get("format_version")) not in (1, 2):
+        raise ValueError(f"{indir} has format_version {version!r}, not 1 or 2")
     dim = manifest["dim"]
     splits = {}
     for split, count in manifest["splits"].items():

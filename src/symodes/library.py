@@ -17,8 +17,7 @@ and the Hessian likewise with e - 1_j - 1_k.
 
 Canonicalization maps an arbitrary expression tree onto library coordinates
 when possible, which is how true coefficient matrices and term-set
-comparisons are computed; structure matrices of linear generators follow
-from exponent arithmetic.  There is no numerical fitting anywhere in this
+comparisons are computed.  There is no numerical fitting anywhere in this
 module.
 """
 
@@ -304,29 +303,3 @@ def m_theta(lib, components):
             rows[r, lib.index_of(key)] = c
     return rows
 
-
-def generator_structure_matrix(lib, L):
-    """M with J_Theta(x) L x = M Theta(x), by exponent arithmetic.
-
-    For a monomial x^e, d(x^e)/dx_j * L[j, k] x_k = e_j L[j, k] x^(e - 1_j +
-    1_k), a monomial of the same degree, so polynomial libraries are closed
-    under linear generators; exponential libraries are rejected.
-    """
-    if lib.include_exponentials:
-        raise NotInSpanError(
-            "exponential libraries are not closed under linear generators")
-    L = np.asarray(L, dtype=float)
-    if L.shape != (lib.dim, lib.dim):
-        raise ValueError(f"generator matrix must be {(lib.dim, lib.dim)}")
-    pairs = list(zip(*np.nonzero(L)))
-    M = np.zeros((lib.size, lib.size))
-    for mu, term in enumerate(lib.terms):
-        for j, k in pairs:
-            e = list(term.exponents)
-            if e[j] == 0:
-                continue
-            coef = e[j] * L[j, k]
-            e[j] -= 1
-            e[k] += 1
-            M[mu, lib._index[TermKey(tuple(e), term.expflags)]] += coef
-    return M

@@ -354,6 +354,20 @@ def _direct_term(coefs, d):
     return np.einsum("nm,ia->nima", coefs, np.eye(d))
 
 
+def commutator_sensitivity(Th, Jth, v, Jv):
+    """d[v, h]/dW for h = W Theta at n points, with its parts.
+
+    Takes Theta (n, p), J_Theta (n, p, d), v (n, d) and J_v (n, d, d) at the
+    points and returns (J_Theta v, ds, du): ds = J_v (x) Theta = d(J_v h)/dW
+    and du = ds - (J_Theta v) (x) I = d[v, h]/dW, both (n, d, p, d).  du[n]
+    reshaped to (d, d*p) is point n's row block on constraint.vec(W); the
+    igie gradient and the equiv-c constraint both use it.
+    """
+    jtv = np.einsum("npj,nj->np", Jth, v)
+    ds = np.einsum("nia,nm->nima", Jv, Th)
+    return jtv, ds, ds - _direct_term(jtv, Jv.shape[-1])
+
+
 def _flow_with_sensitivity(W, lib, X, tau, V0=None):
     """Integrate y (and optionally a tangent delta) with d/dW sensitivities.
 
@@ -418,14 +432,10 @@ def symmetry_loss_grad(kind, model, generators, X, tau=None, eps=DEFAULT_EPS):
         Jth = lib.jacobian(X, Th)
         h = Th @ W.T
         for gen in generators:
-            v, Jv = gen(X), gen.jacobian(X)
+            Jv = gen.jacobian(X)
+            jtv, ds, du = commutator_sensitivity(Th, Jth, gen(X), Jv)
             s = np.einsum("nij,nj->ni", Jv, h)
-            jtv = np.einsum("npj,nj->np", Jth, v)
             u = s - jtv @ W.T
-            # ds_i/dW_{a mu} = Jv[i, a] Theta_mu; du subtracts the direct
-            # term of d(J_h v)/dW
-            ds = np.einsum("nia,nm->nima", Jv, Th)
-            du = ds - _direct_term(jtv, d)
             acc.add(u, s, du, ds)
     elif kind == "fgie":
         Th = lib.evaluate(X)

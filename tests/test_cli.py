@@ -194,12 +194,16 @@ def test_missing_dataset_exits_2(tmp_path):
                    "--method", "sindy") == 2
 
 
-@pytest.mark.parametrize("change", [{"drop": "dim"},
-                                    {"set": ("system", "wobbler")}])
+@pytest.mark.parametrize("change", [
+    {"drop": "dim", "names": "KeyError: 'dim'"},
+    {"set": ("system", "wobbler"), "names": "unknown system 'wobbler'"},
+    {"set": ("format_version", 3), "names": "format_version 3"},
+])
 def test_bad_dataset_manifest_exits_2(tmp_path, capsys, change):
     # A fault in the data is a runtime or data error, not a config error,
-    # even when it surfaces as a missing key.
-    manifest = {"format": "symodes-dataset", "system": "oscillator",
+    # even when it surfaces as a missing key; the message names the fault.
+    manifest = {"format": "symodes-dataset", "format_version": 2,
+                "system": "oscillator",
                 "dim": 2, "seed": 0, "dt": 0.2, "threshold": 0.05,
                 "noise": {"kind": "none", "sigma": 0.0}, "splits": {}}
     if "drop" in change:
@@ -212,7 +216,8 @@ def test_bad_dataset_manifest_exits_2(tmp_path, capsys, change):
     (data / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("discover", "--dataset", str(data), "--method", "sindy",
                    "--out", str(tmp_path / "m")) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and change["names"] in err
 
 
 def test_broken_symmetry_pair_exits_3(tmp_path, capsys):
@@ -274,6 +279,25 @@ def test_nullspace_prints_dimension_and_writes_artifact(tmp_path, capsys):
     assert len(payload["singular_values"]) > 0
     prov = payload["provenance"]
     assert set(prov) == {"tool_version", "config_hash", "master_seed"}
+
+
+# lotka_volterra registers no generator; this one is its own field.
+LV_FIELD = {"generators": [{
+    "kind": "symbolic",
+    "components": ["2/3 - (4/3)*exp(x2)", "-1 + exp(x1)"]}]}
+
+
+@pytest.mark.parametrize("argv,cfg,rank", [
+    (["--system", "lotka_volterra"], LV_FIELD, "r = 1"),
+    (["--system", "oscillator", "--exponentials"], {}, "r = "),
+], ids=["lv-symbolic", "oscillator-exp"])
+def test_nullspace_takes_symbolic_generators_and_exp_libraries(
+        tmp_path, capsys, argv, cfg, rank):
+    assert run_cli("nullspace", *argv, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "ns")) == 0
+    assert rank in capsys.readouterr().out
+    payload = json.loads((tmp_path / "ns" / "nullspace.json").read_text())
+    assert len(payload["Q"]) == 2 * len(payload["library"])
 
 
 def test_nullspace_growth_and_seir(tmp_path, capsys):

