@@ -30,7 +30,7 @@ from .discover import (DiscoveryConfig, GpResult, design, equiv_c_fit,
                        equiv_r_fit, gp_fit, stlsq)
 from .dynamics import (INTERNAL_DT, LinearField, NoiseSpec, SindyModel,
                        get_system, make_dataset)
-from .integrate import rk4_final
+from .integrate import BoundField, rk4_final
 from .library import canonicalize
 
 DIVERGENCE_NORM = 1e6
@@ -152,11 +152,13 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
     then every other model (an expression tree).  The stacked weights are
     bound once to the (L, B) W-linear blocks (see dynamics.LinearField), so
     each RK4 stage evaluates Theta once for them and multiplies it by each
-    W; each other model's field is bound once to its own (B, d) block (a
-    GpResult's trees compiled into an expressions.TreeField).  Every
-    block is written straight into its slice of the stage's slopes and gets
-    the bits it gets alone, so a model's result does not depend on which
-    models share the call, and a diverging block leaves the others
+    W; each other model's field is bound once to its own (1, B) block (a
+    GpResult's trees compiled into an expressions.TreeField).  The stacked
+    field is the W-linear field alone, or else the concatenation of every
+    block's calls (see _Stacked), which the integrator runs as one list.
+    Every block is written straight into its slice of the stage's slopes
+    and gets the bits it gets alone, so a model's result does not depend on
+    which models share the call, and a diverging block leaves the others
     untouched.
 
     Returns {name: {"checkpoints", "errors" (n_cp, n_ic),
@@ -180,14 +182,10 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
     B = X.shape[0]
     n_cp = len(checkpoints)
     Y = np.stack([X] * (L + len(others)))
-    linear_h = LinearField(lib, Ws, (L, B))
+    blocks = [LinearField(lib, Ws, (L, B))]
     with np.errstate(all="ignore"):     # a tree's constants fold here
-        other_h = [models[m].field((B,)) for m in others]
-
-    def stacked_h(Y, F):
-        linear_h(Y[:L], F[:L])
-        for j, h in enumerate(other_h, start=L):
-            h(Y[j], F[j])
+        blocks += [models[m].field((1, B)) for m in others]
+    field = blocks[0] if len(blocks) == 1 else _Stacked(blocks)
 
     out = {m: {"checkpoints": list(checkpoints),
                "errors": np.zeros((n_cp, B)),
@@ -199,7 +197,7 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
             seg = tc - t
             if seg > 0:
                 n = max(1, int(round(seg / INTERNAL_DT)))
-                Y = rk4_final(stacked_h, Y, seg, n)
+                Y = rk4_final(field, Y, seg, n)
                 t = tc
             ys = dict(zip(linear + others, Y[1:]))
             for m in models:
@@ -213,6 +211,26 @@ def long_term_error(models, system, test_ics, horizon, checkpoints):
                 diff = np.where(bad[m][:, None], 0.0, ym - Y[0])
                 out[m]["errors"][j] = (diff * diff).mean(axis=1)
     return out
+
+
+class _Stacked(BoundField):
+    """Fields bound to consecutive blocks of states (M, B, d), as one field.
+
+    Each block's steps follow a copy of its part of x into its own input,
+    and write its part of out.
+    """
+
+    def __init__(self, blocks):
+        ends = np.cumsum([0] + [f.x.shape[1] for f in blocks])
+        self._parts = [(f, slice(lo, hi))
+                       for f, lo, hi in zip(blocks, ends, ends[1:])]
+        d, _, B = blocks[0].x.shape
+        super().__init__(np.empty((d, ends[-1], B)))
+
+    def steps(self, out):
+        return [call for f, part in self._parts
+                for call in [(np.copyto, (f.x, self.x[:, part]))]
+                + f.steps(out[:, part])]
 
 
 # -- benchmark configuration and workers -------------------------------------------

@@ -29,7 +29,7 @@ import scipy
 
 from . import __version__ as _tool_version
 from .expressions import parse
-from .integrate import rk4_final, rk4_flow_tangents, rk4_record
+from .integrate import BoundField, rk4_final, rk4_flow_tangents, rk4_record
 from .library import ThetaKernel, build_library, m_theta
 from .symmetry import FLOW_STEPS, Generator
 
@@ -163,8 +163,10 @@ class SindyModel:
         X = np.asarray(X, dtype=float)
         return self.field(X.shape[:-1])(X, out)
 
-    def h_jacobian(self, X):
-        return np.einsum("ip,...pj->...ij", self.W, self.lib.jacobian(X))
+    def h_jacobian(self, X, theta=None):
+        """J_h(X), (..., d, d); theta, if given, is Theta(X)."""
+        return np.einsum("ip,...pj->...ij", self.W,
+                         self.lib.jacobian(X, theta))
 
     def flow(self, X, tau):
         X = np.atleast_2d(np.asarray(X, float))
@@ -173,8 +175,11 @@ class SindyModel:
     def flow_jvp(self, X, U, tau):
         X = np.atleast_2d(np.asarray(X, float))
         U = np.atleast_2d(np.asarray(U, float))
-        y, V = rk4_flow_tangents(self.field(X.shape[:-1]), self.h_jacobian,
-                                 X, U[..., None], tau, FLOW_STEPS)
+        field = self.field(X.shape[:-1])
+        # the field has just run at y, so its Theta is Theta(y)
+        y, V = rk4_flow_tangents(
+            field, lambda y: self.h_jacobian(y, field.theta), X, U[..., None],
+            tau, FLOW_STEPS)
         return y, V[..., 0]
 
     def coefficients(self):
@@ -189,25 +194,27 @@ class SindyModel:
         return equation_strings(self.lib, self.W)
 
 
-class LinearField:
+class LinearField(BoundField):
     """h(x) = W Theta(x) on states (..., d) of one batch shape.
 
-    f(X, out) writes h(X) into out (integrate's field contract); f(X)
-    returns a fresh array.  Its buffers are batch-last: a ThetaKernel bound
-    to d copies of the batch, so Theta comes as (p, d, ...), and W spread to
-    (p, d, ...) once, here; the products W Theta are then one multiply in
-    place, with nothing broadcast.  The term sum is one np.add.reduce over
-    the leading axis into a contiguous (d, ...) buffer: a left fold over the
+    A BoundField (see integrate): its input x is pad[1:] of a ThetaKernel
+    bound to the batch with d copies, so Theta comes as (p, d) + batch, and
+    W, spread to (p, d) + batch once, here, multiplies it into a buffer of
+    its own in one call with nothing broadcast (a broadcasting ufunc may
+    allocate).  Theta stays apart from its W product: self.theta is Theta
+    at the states last run, batch-first (..., p).  The term sum is one
+    np.add.reduce over the leading axis into out: a left fold over the
     terms in library order, from +0.0, whatever the batch, so a row gets the
     same bits in any batch (BLAS Theta @ W.T would not).  Leading axes of W
     broadcast to the batch's, so a stack of models W (M, 1, d, p) on states
-    (M, B, d) is one call.
+    (M, B, d) is one field.
     """
 
     def __init__(self, lib, W, shape):
         d, p, shape = lib.dim, lib.size, tuple(shape)
         # numpy sums a reduction to one element pairwise, not as a left
         # fold, so a lone state of d = 1 is bound as two, the second kept 0
+        # and its sum copied out of lane 0
         lone = d * math.prod(shape) == 1
         batch = (2,) if lone else shape
         W = np.asarray(W, dtype=float)
@@ -216,26 +223,25 @@ class LinearField:
         self._W = np.ascontiguousarray(np.broadcast_to(W.reshape(
             (p, d) + (1,) * (len(batch) + 2 - W.ndim) + W.shape[2:]),
             (p, d) + batch))
-        self._theta = ThetaKernel(lib, (d,) + batch)
-        self._h = np.empty((d,) + batch)
-        x, h = self._theta.pad[1:], self._h
+        self._kernel = ThetaKernel(lib, batch, (d,))
+        self._terms = np.empty((p, d) + batch)
+        self._sum = np.empty((d,) + batch) if lone else None
+        x, theta = self._kernel.pad[1:], self._kernel.theta[:, 0]
         if lone:
-            x, h = x[..., :1], h[:, :1]
-        # X is written into each of the d copies
-        self._x = np.moveaxis(x, 0, -1).reshape((d,) + shape + (d,),
-                                                copy=False)
-        self._out = np.moveaxis(h, 0, -1).reshape(shape + (d,), copy=False)
+            x, theta = x[:, :1].reshape(1, *shape), theta[:, :1].reshape(
+                p, *shape)
+        self.theta = np.moveaxis(theta, 0, -1)
+        super().__init__(x)
 
-    def __call__(self, X, out=None):
-        """h(X) for X of the bound shape (..., d), written into out if given."""
-        self._x[...] = X
-        theta = self._theta()
-        np.multiply(theta, self._W, theta)
-        np.add.reduce(theta, 0, None, self._h)
-        if out is None:
-            return self._out.copy()
-        out[...] = self._out
-        return out
+    def steps(self, out):
+        kernel = self._kernel
+        calls = kernel.steps() + [
+            (np.multiply, (kernel.theta, self._W, self._terms))]
+        if self._sum is None:
+            return calls + [(np.add.reduce, (self._terms, 0, None, out))]
+        return calls + [(np.add.reduce, (self._terms, 0, None, self._sum)),
+                        (np.copyto, (out, self._sum[:, :1].reshape(
+                            out.shape)))]
 
 
 def equation_strings(lib, W):

@@ -24,6 +24,8 @@ import re
 
 import numpy as np
 
+from .integrate import BoundField
+
 _KINDS = ("const", "var", "add", "sub", "mul", "div", "neg", "exp", "pow")
 
 # printing precedence, larger binds tighter
@@ -221,17 +223,17 @@ def _eval(e, x, protected):
     return v
 
 
-class TreeField:
+class TreeField(BoundField):
     """The field h(x) = (e_1(x), .., e_d(x)) of d trees over x1..xd, bound
     to states (..., d) of one batch shape.
 
-    f(X, out) writes h(X) into out (integrate's field contract); f(X)
-    returns a fresh array.  Each tree is compiled once, here, into steps
-    (ufunc, operands with the output last) over registers of the batch
-    shape, one per operator node; its root writes its row of a batch-last
-    output buffer.  A call copies X in, runs one ufunc per node (three for
-    a protected division: np.equal of the divisor into a bool buffer, the
-    division, np.putmask of X_OVER_ZERO) and copies the rows out, so it
+    A BoundField (see integrate): each tree is compiled once, here, into
+    steps (ufunc, operands with the output last) over registers of the
+    batch shape, one per operator node, reading the variables from x,
+    (d,) + shape; steps(out) puts row i of out where tree i's root writes.
+    A step runs one ufunc per node (three for a protected division:
+    np.equal of the divisor into a bool buffer, the division, np.putmask of
+    X_OVER_ZERO), or copies a root that is a variable or a constant, so it
     allocates nothing.  Constant-only subtrees are folded by _eval.  Every
     node applies _eval's ufunc to the same values, so h(X) has the bits of
     evaluate_all(exprs, X, protected).  IEEE errors are reported under the
@@ -239,19 +241,19 @@ class TreeField:
     """
 
     def __init__(self, exprs, shape, protected=False):
-        d, shape = len(exprs), tuple(shape)
-        self._x, self._h = np.empty((d,) + shape), np.empty((d,) + shape)
-        self._x_in = np.moveaxis(self._x, 0, -1)
-        self._h_out = np.moveaxis(self._h, 0, -1)
-        self._protected = protected
+        x = np.empty((len(exprs),) + tuple(shape))
+        self._x, self._protected = x, protected
+        # stand-ins for the rows of out, which steps(out) puts in their place
+        roots = np.empty(x.shape)
+        self._roots = [roots[i, ...] for i in range(len(exprs))]
         self._steps = []
-        for i, e in enumerate(exprs):
-            row = self._h[i, ...]
+        for e, row in zip(exprs, self._roots):
             value = self._bind(e, row)
-            if value is None:                   # a constant, filled once
-                row[...] = _eval(e, None, protected)
-            elif value is not row:              # a variable
+            if value is None:                   # a constant
+                value = np.asarray(_eval(e, None, protected), dtype=float)
+            if value is not row:                # a constant or a variable
                 self._steps.append((np.copyto, (row, value)))
+        super().__init__(x)
 
     def _bind(self, e, out=None):
         """Add the steps of e; return the array holding its value then, or
@@ -284,15 +286,10 @@ class TreeField:
         self._steps.append((ufunc, (*args, *extra, out)))
         return out
 
-    def __call__(self, X, out=None):
-        """h(X) for X of the bound shape (..., d), written into out if given."""
-        self._x_in[...] = X
-        for ufunc, args in self._steps:
-            ufunc(*args)
-        if out is None:
-            return self._h_out.copy()
-        out[...] = self._h_out
-        return out
+    def steps(self, out):
+        rows = {id(r): out[i, ...] for i, r in enumerate(self._roots)}
+        return [(ufunc, tuple(rows.get(id(a), a) for a in args))
+                for ufunc, args in self._steps]
 
 
 # 0-d operands make cheaper ufunc calls than Python floats

@@ -186,31 +186,48 @@ class ThetaKernel:
     """Theta of one library on one batch shape, into buffers bound here.
 
     The caller writes the states batch-last into pad[1:] (pad[0] holds the
-    ones); a call fills theta, (p,) + batch, and returns it, allocating
-    nothing.  Every monomial's factors are gathered into one buffer and
-    multiplied in place, left to right as np.multiply.reduce does; the
+    ones), (1 + d,) + batch; steps() are the calls that fill theta,
+    (p,) + copies + batch, Theta repeated along the copies axes, allocating
+    nothing, and a call runs them and returns theta.  One gather takes
+    every monomial's factors, and the exp arguments, from pad; the factors
+    are multiplied in place, left to right as np.multiply.reduce does; the
     exp(x_1) .. exp(x_d) rows, which follow the monomials, come last.
     """
 
-    def __init__(self, lib, batch):
-        batch, n_mono = tuple(batch), lib._n_mono
+    def __init__(self, lib, batch, copies=()):
+        batch, copies, n_mono = tuple(batch), tuple(copies), lib._n_mono
+        index = lib._factors_t
+        if lib.include_exponentials:
+            # exp(x_i) takes x_i from the gather's first row
+            args = np.zeros((len(index), lib.dim), dtype=np.intp)
+            args[0] = np.arange(1, lib.dim + 1)
+            index = np.hstack([index, args])
+        # contiguous, so take uses it as it is
+        self._index = np.ascontiguousarray(np.broadcast_to(
+            index.reshape(index.shape + (1,) * len(copies)),
+            index.shape + copies))
         self.pad = np.zeros((1 + lib.dim,) + batch)
         self.pad[0] = 1.0
-        self.theta = np.empty((lib.size,) + batch)
-        self._factors, self._mono = lib._factors_t, self.theta[:n_mono]
-        self._gather = np.empty(self._factors.shape + batch)
-        self._first, self._second, *self._rest = self._gather
-        self._exp = ((self.pad[1:], self.theta[n_mono:])
+        self.theta = np.empty((lib.size,) + copies + batch)
+        self._gather = np.empty(self._index.shape + batch)
+        self._first, self._second, *self._rest = self._gather[:, :n_mono]
+        self._mono = self.theta[:n_mono]
+        self._exp = ((self._gather[0, n_mono:], self.theta[n_mono:])
                      if lib.include_exponentials else None)
 
-    def __call__(self):
+    def steps(self):
+        """Theta's (ufunc, args) calls: one gather, then in-place products."""
         mono = self._mono
-        self.pad.take(self._factors, 0, self._gather, "clip")
-        np.multiply(self._first, self._second, mono)
-        for row in self._rest:
-            np.multiply(mono, row, mono)
+        calls = [(self.pad.take, (self._index, 0, self._gather, "clip")),
+                 (np.multiply, (self._first, self._second, mono))]
+        calls += [(np.multiply, (mono, row, mono)) for row in self._rest]
         if self._exp:
-            np.exp(*self._exp)
+            calls.append((np.exp, self._exp))
+        return calls
+
+    def __call__(self):
+        for ufunc, args in self.steps():
+            ufunc(*args)
         return self.theta
 
 

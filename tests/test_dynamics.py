@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from rk4_reference import rk4_step
+from rk4_reference import linear_field, rk4_step
 
 from symodes import dynamics
 from symodes.dynamics import (INTERNAL_DT, SMOOTH_LENGTHSCALE_FACTORS,
@@ -427,36 +427,6 @@ def test_linear_fields_are_batch_invariant():
             np.testing.assert_array_equal(out, stacked, err_msg=name)
 
 
-def _reference_field(lib, W):
-    """W Theta with no buffers and no factor table: the bits to reproduce.
-
-    Each monomial is the product of its variables in order, the exp(x_i)
-    columns are np.exp of the gathered states, and the terms of the
-    broadcast product are summed by a left fold in library order from +0.0.
-    """
-    monos = [t.exponents for t in lib.terms if not any(t.expflags)]
-    exp_vars = [t.expflags.index(True) for t in lib.terms if any(t.expflags)]
-
-    def h(X):
-        cols = []
-        for exps in monos:
-            col = np.ones(X.shape[:-1])
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    col = col * X[..., i]
-            cols.append(col)
-        theta = np.stack(cols, axis=-1)
-        if exp_vars:
-            theta = np.concatenate([theta, np.exp(X[..., exp_vars])], axis=-1)
-        prod = theta[..., None, :] * W
-        acc = np.zeros(prod.shape[:-1])
-        for mu in range(prod.shape[-1]):
-            acc = acc + prod[..., mu]
-        return acc
-
-    return h
-
-
 def _assert_same_bits(got, want):
     # equal bit patterns: unlike assert_array_equal, -0.0 differs from +0.0
     assert got.shape == want.shape
@@ -473,7 +443,7 @@ def _assert_field_bits(field, X, want):
 
 
 def test_linear_field_rows_are_a_left_fold_over_terms():
-    # Every row of a bound field is _reference_field's left fold over the
+    # Every row of a bound field is linear_field's left fold over the
     # library terms from +0.0, bit for bit and zero signs included, alone or
     # in any batch, returned fresh or written into out: d = 1, 2, 4 with
     # p = 1 to 21 (exp columns included), on batches (), (1,), (B,) and
@@ -495,7 +465,7 @@ def test_linear_field_rows_are_a_left_fold_over_terms():
             -6, 6, size=(L, 1, d, p))
         Ws[1, 0, 0] = -0.0  # positive products, all -0.0: the sum is +0.0
         for W in Ws[:2, 0]:
-            want = _reference_field(lib, W)(X)
+            want = linear_field(lib, W)(X)
             for x, row in zip(X, want):
                 _assert_field_bits(LinearField(lib, W, ()), x, row)
                 _assert_field_bits(LinearField(lib, W, (1,)), x[None],
@@ -504,7 +474,7 @@ def test_linear_field_rows_are_a_left_fold_over_terms():
         Y = np.stack([X, X[::-1], X])
         got = LinearField(lib, Ws, (L, B))(Y)
         _assert_field_bits(LinearField(lib, Ws, (L, B)), Y,
-                           _reference_field(lib, Ws)(Y))
+                           linear_field(lib, Ws)(Y))
         _assert_same_bits(got[0], LinearField(lib, Ws[0, 0], (B,))(X))
         assert not np.signbit(got[1, :, 0]).any()
 
@@ -541,7 +511,7 @@ def test_bound_fields_integrate_with_the_reference_bits():
         lib = sys.library()
         truth = sys.truth_matrix(lib)
         X = np.array([sample_initial(sys, rng) for _ in range(7)])
-        ref = _reference_field(lib, truth)
+        ref = linear_field(lib, truth)
         y, want = X, [X]
         for i in range(1, n_steps + 1):
             y = rk4_step(ref, y, INTERNAL_DT)
@@ -555,7 +525,7 @@ def test_bound_fields_integrate_with_the_reference_bits():
                                  for _ in range(2)])[:, None]
         Y = np.stack([X] * len(Ws))
         total = n_steps * INTERNAL_DT
-        ref = _reference_field(lib, Ws)
+        ref = linear_field(lib, Ws)
         want = Y
         for _ in range(n_steps):
             want = rk4_step(ref, want, total / n_steps)

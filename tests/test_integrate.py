@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from rk4_reference import rk4_step
+from rk4_reference import linear_field, rk4_step
 
-from symodes import integrate
-from symodes.dynamics import INTERNAL_DT, SindyModel, get_system
-from symodes.integrate import (IntegrationError, rk4_final, rk4_flow_tangents,
-                               rk4_record)
+from symodes import bench, integrate
+from symodes.discover import GpResult
+from symodes.dynamics import INTERNAL_DT, LinearField, SindyModel, get_system
+from symodes.expressions import TreeField, evaluate_all, parse
+from symodes.integrate import (BoundField, IntegrationError, rk4_final,
+                               rk4_flow_tangents, rk4_record)
+from symodes.library import build_library
 from symodes.symmetry import FLOW_STEPS
 
 
@@ -123,11 +126,13 @@ def test_rk4_record_nonfinite_raises_with_step():
     # rk4_step loop makes non-finite, rather than return inf, whether it
     # checks after every step (stride 1), after every 10, once for the whole
     # run (stride 400), or after a sample whose last step is the first
-    # failing one.
+    # failing one, and whether the field is a callable or hands over its
+    # calls (a bound tree, and x**2 as a W-linear field).
     def f(x, out):
         np.multiply(x, x, out)
 
     x0 = np.array([[0.5], [1.0]])
+    square = np.array([[0.0, 0.0, 1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         y, first = x0, None
         for i in range(1, 401):
@@ -136,50 +141,167 @@ def test_rk4_record_nonfinite_raises_with_step():
                 first = i
                 break
         assert first is not None and first % 10 != 0
-        for n_internal, stride in ((400, 1), (400, 10), (400, 400),
-                                   (2 * first, first)):
-            with pytest.raises(IntegrationError) as exc:
-                rk4_record(f, x0, 0.05, n_internal, stride)
-            assert exc.value.step == first
-            assert f"step {first}" in str(exc.value)
+        for field in (f, TreeField([parse("x1*x1", 1)], (2,)),
+                      LinearField(build_library(1, 2), square, (2,))):
+            for n_internal, stride in ((400, 1), (400, 10), (400, 400),
+                                       (2 * first, first)):
+                with pytest.raises(IntegrationError) as exc:
+                    rk4_record(field, x0, 0.05, n_internal, stride)
+                assert exc.value.step == first
+                assert f"step {first}" in str(exc.value)
+
+
+def test_step_arguments_are_checked():
+    # A step count below 1, a stride below 1, a negative run, or states
+    # that do not fit the bound field's shape are named; they used to
+    # return y0, divide by zero, or fail inside numpy.
+    x0 = np.array([[1.0, 0.0]])
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            rk4_final(harmonic, x0, 1.0, steps)
+    for stride in (0, -5):
+        with pytest.raises(ValueError, match="stride must be at least 1"):
+            rk4_record(harmonic, x0, 0.1, 10, stride)
+    with pytest.raises(ValueError, match="n_internal must be at least 0"):
+        rk4_record(harmonic, x0, 0.1, -10, 5)
+    assert rk4_record(harmonic, x0, 0.1, 0, 5).shape == (1, 1, 2)
+    field = get_system("oscillator").oracle().field((2,))
+    with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+        rk4_final(field, x0, 1.0, 4)
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+def test_bound_fields_integrate_as_calls_with_the_reference_bits(
+        monkeypatch):
+    # A bound field is never called as f(x, out) by the integrator (every
+    # BoundField's __call__ raises here): it hands over its calls.  They
+    # give an rk4_step loop's bits over reference fields returning fresh
+    # arrays: a lone state of d = 1 (alone and as a batch of one),
+    # lotka_volterra's exp library, and long-term prediction's stacked
+    # field of the truth, two W-linear models and two tree blocks, one
+    # dividing by zero under protection; and so does a callable.
+    sys = get_system("oscillator")
+    lib = sys.library()
+    rng = np.random.default_rng(6)
+    truth = sys.truth_matrix(lib)
+    trees = [[parse("-0.12*x1 - x2", 2), parse("x1/(x2 - x2) + x1", 2)],
+             [parse("0.3", 2), parse("x1", 2)]]
+    models = {"a": SindyModel(lib, 0.97 * truth),
+              "b": SindyModel(lib, truth + 0.01 * rng.normal(
+                  size=truth.shape))}
+    models.update({f"gp{j}": GpResult(exprs=e, fitness=[0.0, 0.0],
+                                      history=[])
+                   for j, e in enumerate(trees)})
+    ics = rng.uniform(-1.0, 1.0, size=(4, 2))
+    fields = []
+    real = bench.rk4_final
+
+    def capture(f, *args):
+        fields.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(bench, "rk4_final", capture)
+    with np.errstate(all="ignore"):
+        bench.long_term_error(models, sys, ics, horizon=0.01,
+                              checkpoints=[0.01])
+    Ws = np.stack([truth, models["a"].W, models["b"].W])[:, None]
+
+    def stacked(Y):
+        return np.concatenate(
+            [linear_field(lib, Ws)(Y[:3])]
+            + [evaluate_all(e, Y[3 + j:4 + j], protected=True)
+               for j, e in enumerate(trees)])
+
+    lone = build_library(1, 3)
+    W1 = np.array([[0.3, -0.5, 0.1, -0.2]])
+    lv = get_system("lotka_volterra")
+    X_lv = np.array([[0.1, -0.2], [0.4, 0.3], [-0.3, 0.2]])
+    cases = [(LinearField(lone, W1, ()), linear_field(lone, W1),
+              np.array([0.7])),
+             (LinearField(lone, W1, (1,)), linear_field(lone, W1),
+              np.array([[0.7]])),
+             (lv.oracle().field((3,)), linear_field(lv.library(),
+                                                    lv.truth_matrix()), X_lv),
+             (fields[0], stacked, np.stack([ics] * 5)),
+             (lambda x, out: evaluate_all(trees[0], x, True, out),
+              lambda x: evaluate_all(trees[0], x, True), ics)]
+    assert isinstance(fields[0], BoundField)
+
+    def refuse(self, X, out=None):
+        raise AssertionError("a bound field was called, not run as calls")
+
+    monkeypatch.setattr(BoundField, "__call__", refuse)
+    dt, steps = 0.01, 30
+    with np.errstate(all="ignore"):
+        for field, ref, y0 in cases:
+            y, want = y0, [y0]
+            for i in range(1, steps + 1):
+                y = rk4_step(ref, y, dt)
+                if i % 10 == 0:
+                    want.append(y)
+            _same_bits(rk4_record(field, y0, dt, steps, 10), np.array(want))
+            y = y0
+            for _ in range(steps):
+                y = rk4_step(ref, y, 0.3 / steps)
+            _same_bits(rk4_final(field, y0, 0.3, steps), y)
 
 
 def test_in_place_steps_allocate_nothing():
     # Through a bound LinearField, rk4_final and rk4_record reach the same
     # traced peak for 100 steps as for 2,000 (rk4_record keeps 11 samples
     # either way).  Nor does any step allocate a state-sized array: from the
-    # field's first call on, when the stepper holds its buffers, the traced
+    # field's first run on, when the stepper holds its buffers, the traced
     # peak grows by less than the states do when the batch grows tenfold.
     # numpy's per-call scratch does not grow with the batch, and
     # rk4_record's finiteness mask, made once per sample, is 1/8 of a state.
+    # The field is called by a callable, or handed to the integrator, whose
+    # calls then start with a marker; that peak is the one at the last
+    # marker, before rk4_final's one copy of the end state.
     system = get_system("oscillator")
     rng = np.random.default_rng(2)
     small, large = (rng.uniform(-1.0, 1.0, size=(n, 2)) for n in (70, 700))
 
-    def peak_over_base(run, X, n):
+    def peak_over_base(run, X, n, direct):
         field = system.oracle().field(X.shape[:-1])
-        base = []
+        base, last = [], [0]
 
-        def marked(x, out):
+        def mark():
             if not base:
                 base.append(tracemalloc.get_traced_memory()[0])
                 tracemalloc.reset_peak()
-            field(x, out)
+            last[0] = tracemalloc.get_traced_memory()[1]
+
+        if direct:
+            steps = field.steps
+            field.steps = lambda out: [(mark, ())] + steps(out)
+            f = field
+        else:
+            def f(x, out):
+                mark()
+                field(x, out)
 
         tracemalloc.start()
         try:
-            run(marked, X, n)
-            return tracemalloc.get_traced_memory()[1] - base[0]
+            run(f, X, n)
+            peak = last[0] if direct else tracemalloc.get_traced_memory()[1]
+            return peak - base[0]
         finally:
             tracemalloc.stop()
 
-    for run in (lambda f, X, n: rk4_final(f, X, n * INTERNAL_DT, n),
-                lambda f, X, n: rk4_record(f, X, INTERNAL_DT, n, n // 10)):
-        peak_over_base(run, small, 10)
-        assert (peak_over_base(run, small, 100)
-                == peak_over_base(run, small, 2000))
-        assert (peak_over_base(run, large, 100)
-                - peak_over_base(run, small, 100)) < large.nbytes - small.nbytes
+    for direct in (False, True):
+        for run in (lambda f, X, n: rk4_final(f, X, n * INTERNAL_DT, n),
+                    lambda f, X, n: rk4_record(f, X, INTERNAL_DT, n,
+                                               n // 10)):
+            peak_over_base(run, small, 10, direct)
+            assert (peak_over_base(run, small, 100, direct)
+                    == peak_over_base(run, small, 2000, direct))
+            assert (peak_over_base(run, large, 100, direct)
+                    - peak_over_base(run, small, 100, direct)
+                    < large.nbytes - small.nbytes)
 
 
 def test_packed_tangent_rhs_writes_its_fresh_bits_into_out(monkeypatch):

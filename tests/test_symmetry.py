@@ -336,6 +336,40 @@ def test_loss_gradients_evaluate_theta_once_per_point_set(kind, monkeypatch):
                                   grad_anew.view(np.uint64))
 
 
+@pytest.mark.parametrize("name", ["oscillator", "growth", "seir"])
+def test_igfe_value_gathers_its_jacobian_from_the_fields_theta(name,
+                                                              monkeypatch):
+    # The value path's flow_jvp evaluates Theta only in its bound field:
+    # the tangent's Jacobian gathers from the Theta the field just computed,
+    # so symmetry_loss("igfe") calls FunctionLibrary.evaluate not at all,
+    # and keeps the bits of evaluating Theta anew for each Jacobian.
+    from symodes.dynamics import get_system
+
+    system = get_system(name)
+    rng = np.random.default_rng(23)
+    lib = system.library()
+    model = SindyModel(lib, system.truth_matrix(lib) + 0.01 * rng.normal(
+        size=(system.dim, lib.size)))
+    X = 0.5 + 0.3 * rng.random((16, system.dim))
+    evaluated = []
+    evaluate = FunctionLibrary.evaluate
+
+    def counted_evaluate(self, X, out=None):
+        evaluated.append(1)
+        return evaluate(self, X, out)
+
+    monkeypatch.setattr(FunctionLibrary, "evaluate", counted_evaluate)
+    loss = symmetry_loss("igfe", model, system.generators, X, tau=0.3)
+    assert evaluated == []
+    jacobian = FunctionLibrary.jacobian
+    monkeypatch.setattr(FunctionLibrary, "jacobian",
+                        lambda self, X, theta=None: jacobian(self, X))
+    anew = symmetry_loss("igfe", model, system.generators, X, tau=0.3)
+    assert len(evaluated) == 4 * symmetry.FLOW_STEPS * len(system.generators)
+    assert np.float64(loss).view(np.uint64) == \
+        np.float64(anew).view(np.uint64)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fgfe_gradient_integrates_the_flow_of_x_once(k, monkeypatch):
     # The flow of X and its W-sensitivity do not depend on the generator:
