@@ -241,8 +241,8 @@ class TreeField(BoundField):
     """
 
     def __init__(self, exprs, shape, protected=False):
-        x = np.empty((len(exprs),) + tuple(shape))
-        self._x, self._protected = x, protected
+        x = self.x = np.empty((len(exprs),) + tuple(shape))
+        self._protected = protected
         # stand-ins for the rows of out, which steps(out) puts in their place
         roots = np.empty(x.shape)
         self._roots = [roots[i, ...] for i in range(len(exprs))]
@@ -259,7 +259,7 @@ class TreeField(BoundField):
         """Add the steps of e; return the array holding its value then, or
         None for a constant-only e.  out, if given, is the root's row."""
         if e.kind == "var":
-            return self._x[e.value, ...]
+            return self.x[e.value, ...]
         if e.kind == "const":
             return None
         kids = e.children
@@ -271,7 +271,7 @@ class TreeField(BoundField):
             out = next((v for c, v in zip(kids, vals)
                         if v is not None and c.kind != "var"), None)
             if out is None:
-                out = np.empty(self._x.shape[1:])
+                out = np.empty(self.x.shape[1:])
         args = [np.asarray(_eval(c, None, self._protected)) if v is None
                 else v for c, v in zip(kids, vals)]
         if self._protected and e.kind == "div":

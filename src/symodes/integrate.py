@@ -80,30 +80,26 @@ def _bind(f, y0, dt):
     out as y0 (a view).  k1 goes straight into the slope sum acc, k2..k4
     into k (then 2k); 0-d constants make the cheapest ufunc calls.
     """
-    bound = isinstance(f, BoundField)
-    if bound:
+    if isinstance(f, BoundField):
         y = np.empty(f.x.shape)
         state = np.moveaxis(y, 0, -1)
         if state.shape != np.shape(y0):
             raise ValueError(f"states of shape {np.shape(y0)} do not fit a "
                              f"field bound to {state.shape}")
         state[...] = y0
-        x, h = f.x, f.steps
+        x, acc, k = f.x, np.empty_like(y), np.empty_like(y)
+        calls, hk = [(np.copyto, (x, y))] + f.steps(acc), f.steps(k)
     else:
         y = state = np.array(y0, dtype=float)
-        x = np.empty_like(y)
-
-        def h(out):
-            return [(f, (x, out))]
-    acc, k = np.empty_like(y), np.empty_like(y)
+        x, acc, k = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+        calls, hk = [(f, (y, acc))], [(f, (x, k))]
     half, full, sixth, two = map(np.array, (0.5 * dt, dt, dt / 6.0, 2.0))
-    calls = ([(np.copyto, (x, y))] + h(acc) if bound else [(f, (y, acc))])
     calls += [(np.multiply, (half, acc, x)), (np.add, (y, x, x))]
     for c in (half, full):
-        calls += h(k) + [(np.multiply, (c, k, x)), (np.add, (y, x, x)),
-                         (np.multiply, (two, k, k)), (np.add, (acc, k, acc))]
-    calls += h(k) + [(np.add, (acc, k, acc)),
-                     (np.multiply, (sixth, acc, acc)), (np.add, (y, acc, y))]
+        calls += hk + [(np.multiply, (c, k, x)), (np.add, (y, x, x)),
+                       (np.multiply, (two, k, k)), (np.add, (acc, k, acc))]
+    calls += hk + [(np.add, (acc, k, acc)),
+                   (np.multiply, (sixth, acc, acc)), (np.add, (y, acc, y))]
     return y, state, calls
 
 

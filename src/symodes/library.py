@@ -23,6 +23,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,12 +96,7 @@ class FunctionLibrary:
                                           self.include_exponentials))
         self.size = len(self.terms)
         self._index = {t: i for i, t in enumerate(self.terms)}
-        n_mono = self._n_mono = sum(1 for t in self.terms
-                                    if not any(t.expflags))
-        # two factors at least (1 * x is x, bit for bit), so every product
-        # in ThetaKernel starts with one multiply
-        self._factors_t = _factor_table(self.terms[:n_mono],
-                                        max(self.degree, 2)).T
+        self._n_mono = sum(1 for t in self.terms if not any(t.expflags))
         self._jac_src, self._jac_coef = self._derivative_table(1)
         self._hess_src, self._hess_coef = self._derivative_table(2)
 
@@ -154,6 +150,20 @@ class FunctionLibrary:
         H = theta[..., self._hess_src] * self._hess_coef
         return (H * U[..., None, :, None]).sum(axis=-2)
 
+    @functools.cached_property
+    def _gather_index(self):
+        """ThetaKernel's gather, C-ordered (q, n_mono [+ d]) indices into
+        [1, x1, .., xd]: every monomial's factors, then for each exp(x_i)
+        x_i in the first row, the rest unused."""
+        # two factors at least (1 * x is x, bit for bit), so every product
+        # in ThetaKernel starts with one multiply
+        rows = _factor_table(self.terms[:self._n_mono], max(self.degree, 2))
+        if self.include_exponentials:
+            args = np.zeros((self.dim, rows.shape[1]), dtype=np.intp)
+            args[:, 0] = np.arange(1, self.dim + 1)
+            rows = np.vstack([rows, args])
+        return np.ascontiguousarray(rows.T)
+
     def _derivative_table(self, order):
         """(src, coef) with d^order theta_mu / dx_j (dx_k) = coef * Theta[src].
 
@@ -196,16 +206,9 @@ class ThetaKernel:
 
     def __init__(self, lib, batch, copies=()):
         batch, copies, n_mono = tuple(batch), tuple(copies), lib._n_mono
-        index = lib._factors_t
-        if lib.include_exponentials:
-            # exp(x_i) takes x_i from the gather's first row
-            args = np.zeros((len(index), lib.dim), dtype=np.intp)
-            args[0] = np.arange(1, lib.dim + 1)
-            index = np.hstack([index, args])
-        # contiguous, so take uses it as it is
-        self._index = np.ascontiguousarray(np.broadcast_to(
-            index.reshape(index.shape + (1,) * len(copies)),
-            index.shape + copies))
+        self._index = lib._gather_index
+        for n in copies:
+            self._index = self._index[..., None].repeat(n, -1)
         self.pad = np.zeros((1 + lib.dim,) + batch)
         self.pad[0] = 1.0
         self.theta = np.empty((lib.size,) + copies + batch)
