@@ -48,8 +48,8 @@ class BoundField:
     shape (d,) + batch, to this __init__, and defines steps(out): the
     (ufunc, args) calls that read x and write h(x) into out, an array of
     x's shape.  f(X, out) writes h(X) for X of shape batch + (d,) into out,
-    and f(X) returns a fresh array: the same calls, between a copy in and a
-    copy out, so a call allocates nothing.
+    allocating nothing, and f(X) returns a fresh array: the same calls,
+    between a copy in and a copy out.
     """
 
     def __init__(self, x):
