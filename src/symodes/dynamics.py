@@ -19,6 +19,7 @@ CPU.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
@@ -198,40 +199,59 @@ class LinearField(BoundField):
     """h(x) = W Theta(x) on states (..., d) of one batch shape.
 
     A BoundField (see integrate): its input x is pad[1:] of a ThetaKernel
-    bound to the batch with d copies, so Theta comes as (p, d) + batch, and
-    W, spread to (p, d) + batch once, here, multiplies it into a buffer of
-    its own in one call with nothing broadcast (a broadcasting ufunc may
-    allocate).  Theta stays apart from its W product: self.theta is Theta
-    at the states last run, batch-first (..., p).  The term sum is one
-    np.add.reduce over the leading axis into out: a left fold over the
-    terms in library order, from +0.0, whatever the batch, so a row gets the
-    same bits in any batch (BLAS Theta @ W.T would not).  Leading axes of W
-    broadcast to the batch's, so a stack of models W (M, 1, d, p) on states
-    (M, B, d) is one field.
+    bound to the batch with d copies.  The kernel evaluates only W's
+    support, the k library columns nonzero in some row of some stacked
+    block, so Theta comes as (k, d) + batch, and W's support columns,
+    spread to (k, d) + batch once, here, multiply it into a buffer of their
+    own in one call with nothing broadcast (a broadcasting ufunc may
+    allocate).  The term sum is one np.add.reduce over the leading axis
+    into out: a left fold over the support in library order, from +0.0,
+    whatever the batch, so a row gets the same bits in any batch (BLAS
+    Theta @ W.T would not).  These are the bits of the fold over all p
+    terms: each dropped term is a +-0.0 product, and a fold from +0.0
+    never holds -0.0, so adding +-0.0 changes nothing.  The exception is a
+    non-finite Theta in a column outside the support: the full fold's
+    0 * inf made h NaN there, the support's h stays finite.  Leading axes
+    of W broadcast to the batch's, so a stack of models W (M, 1, d, p) on
+    states (M, B, d) is one field, bound to the union of their supports.
+
+    self.theta is the full Theta (..., p) at the states last run,
+    batch-first, evaluated when read by a kernel of every column.
     """
 
     def __init__(self, lib, W, shape):
-        d, p, shape = lib.dim, lib.size, tuple(shape)
+        d, shape = lib.dim, tuple(shape)
         # numpy sums a reduction to one element pairwise, not as a left
         # fold, so a lone state of d = 1 is bound as two, the second kept 0
         # and its sum copied out of lane 0
         lone = d * math.prod(shape) == 1
         batch = (2,) if lone else shape
         W = np.asarray(W, dtype=float)
-        W = np.moveaxis(W.reshape(d, p) if lone else W, (-1, -2), (0, 1))
+        support = np.flatnonzero(W.reshape(-1, lib.size).any(axis=0))
+        k = len(support)
+        W = W[..., support]
+        W = np.moveaxis(W.reshape(d, k) if lone else W, (-1, -2), (0, 1))
         # W's batch axes align with the trailing axes of the buffers'
         self._W = np.ascontiguousarray(np.broadcast_to(W.reshape(
-            (p, d) + (1,) * (len(batch) + 2 - W.ndim) + W.shape[2:]),
-            (p, d) + batch))
-        self._kernel = ThetaKernel(lib, batch, (d,))
-        self._terms = np.empty((p, d) + batch)
+            (k, d) + (1,) * (len(batch) + 2 - W.ndim) + W.shape[2:]),
+            (k, d) + batch))
+        self._kernel = ThetaKernel(lib, batch, (d,), support)
+        self._terms = np.empty((k, d) + batch)
         self._sum = np.empty((d,) + batch) if lone else None
-        x, theta = self._kernel.pad[1:], self._kernel.theta[:, 0]
+        self._lib, x = lib, self._kernel.pad[1:]
         if lone:
-            x, theta = x[:, :1].reshape(1, *shape), theta[:, :1].reshape(
-                p, *shape)
-        self.theta = np.moveaxis(theta, 0, -1)
+            x = x[:, :1].reshape(1, *shape)
         super().__init__(x)
+
+    @functools.cached_property
+    def _theta_kernel(self):
+        return ThetaKernel(self._lib, self.x.shape[1:])
+
+    @property
+    def theta(self):
+        kernel = self._theta_kernel
+        kernel.pad[1:] = self.x
+        return np.moveaxis(kernel(), 0, -1)
 
     def steps(self, out):
         kernel = self._kernel

@@ -15,9 +15,13 @@ and rk4_record run as often as asked, so no step allocates.  A BoundField
 over its own calls: its state, slopes and stages live in its batch-last
 layout (d,) + batch, each stage's y + c k is written straight into its
 input buffer x, and its steps(out) write h(x) straight into the stepper's
-slope buffer out.  Any other field is a callable f(x, out) that reads x and
-writes h(x) into out, a stepper-owned array of the states' own shape: the
-one call (f, (x, out)) per stage.  The calls follow the order of
+slope buffer out.  A LinearField's calls evaluate only the library
+columns its W uses, with the bits of the full W Theta, except that a
+non-finite Theta in an unused column no longer makes h NaN (so a state
+that only such a column would have made non-finite integrates on).  Any
+other field is a callable f(x, out) that reads x and writes h(x) into
+out, a stepper-owned array of the states' own shape: the one call
+(f, (x, out)) per stage.  The calls follow the order of
 y + (dt/6)(k1 + 2k2 + 2k3 + k4), so the states have that out-of-place
 formula's bits.  rk4_record checks finiteness once per recorded sample and
 replays a non-finite sample step by step from the last recorded state, to

@@ -80,8 +80,9 @@ class TermKey:
 class FunctionLibrary:
     """Ordered term basis with vectorized evaluation and derivatives.
 
-    Theta comes from a ThetaKernel: evaluate binds one to its row blocks,
-    and dynamics.LinearField binds one for its whole lifetime.
+    Theta comes from a ThetaKernel: evaluate binds one with every column
+    to its row blocks, and dynamics.LinearField binds one with the columns
+    its W uses for its whole lifetime.
     """
 
     def __init__(self, dim, degree, include_exponentials=False):
@@ -197,26 +198,32 @@ class ThetaKernel:
 
     The caller writes the states batch-last into pad[1:] (pad[0] holds the
     ones), (1 + d,) + batch; steps() are the calls that fill theta,
-    (p,) + copies + batch, Theta repeated along the copies axes, allocating
-    nothing, and a call runs them and returns theta.  One gather takes
-    every monomial's factors, and the exp arguments, from pad; the factors
-    are multiplied in place, left to right as np.multiply.reduce does; the
-    exp(x_1) .. exp(x_d) rows, which follow the monomials, come last.
+    (k,) + copies + batch, the library columns `columns` (all p of them by
+    default; otherwise increasing library indices) repeated along the
+    copies axes, allocating nothing, and a call runs them and returns
+    theta.  One gather takes every monomial's factors, and the exp
+    arguments, from pad; the factors are multiplied in place, left to right
+    as np.multiply.reduce does; the exp(x_i) rows, which follow the
+    monomials, come last.  A column's bits do not depend on which other
+    columns are evaluated with it.
     """
 
-    def __init__(self, lib, batch, copies=()):
-        batch, copies, n_mono = tuple(batch), tuple(copies), lib._n_mono
-        self._index = lib._gather_index
+    def __init__(self, lib, batch, copies=(), columns=None):
+        batch, copies = tuple(batch), tuple(copies)
+        self._index, n_mono, k = lib._gather_index, lib._n_mono, lib.size
+        if columns is not None:
+            self._index = self._index[:, columns]
+            n_mono, k = int(np.searchsorted(columns, n_mono)), len(columns)
         for n in copies:
             self._index = self._index[..., None].repeat(n, -1)
         self.pad = np.zeros((1 + lib.dim,) + batch)
         self.pad[0] = 1.0
-        self.theta = np.empty((lib.size,) + copies + batch)
+        self.theta = np.empty((k,) + copies + batch)
         self._gather = np.empty(self._index.shape + batch)
         self._first, self._second, *self._rest = self._gather[:, :n_mono]
         self._mono = self.theta[:n_mono]
         self._exp = ((self._gather[0, n_mono:], self.theta[n_mono:])
-                     if lib.include_exponentials else None)
+                     if n_mono < k else None)
 
     def steps(self):
         """Theta's (ufunc, args) calls: one gather, then in-place products."""

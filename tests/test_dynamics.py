@@ -442,14 +442,23 @@ def _assert_field_bits(field, X, want):
     _assert_same_bits(out, want)
 
 
+def _supported(rng, Ws, keep):
+    # Ws with every entry outside the boolean mask keep set to +-0.0
+    zeros = rng.choice([0.0, -0.0], size=Ws.shape)
+    return np.where(np.broadcast_to(keep, Ws.shape), Ws, zeros)
+
+
 def test_linear_field_rows_are_a_left_fold_over_terms():
-    # Every row of a bound field is linear_field's left fold over the
-    # library terms from +0.0, bit for bit and zero signs included, alone or
-    # in any batch, returned fresh or written into out: d = 1, 2, 4 with
+    # Every row of a bound field is linear_field's left fold over all the
+    # library terms from +0.0, bit for bit and zero signs included, alone
+    # or in any batch, returned fresh or written into out: d = 1, 2, 4 with
     # p = 1 to 21 (exp columns included), on batches (), (1,), (B,) and
     # (L, B) with stacked W.  p >= 8 is where numpy's pairwise sum differs
     # from the fold, and one state of d = 1 is a reduction to a single
-    # element, which numpy sums pairwise.
+    # element, which numpy sums pairwise.  The field evaluates only W's
+    # support, so the weights also come sparse: whole +-0.0 columns across
+    # every block, a one-column support, an exp-only support, an all-zero
+    # W, and blocks with different supports.
     rng = np.random.default_rng(21)
     libs = ([build_library(1, q) for q in range(17)]
             + [build_library(1, q, True) for q in (6, 14)]
@@ -464,19 +473,43 @@ def test_linear_field_rows_are_a_left_fold_over_terms():
         Ws = rng.normal(size=(L, 1, d, p)) * 10.0 ** rng.uniform(
             -6, 6, size=(L, 1, d, p))
         Ws[1, 0, 0] = -0.0  # positive products, all -0.0: the sum is +0.0
-        for W in Ws[:2, 0]:
-            want = linear_field(lib, W)(X)
-            for x, row in zip(X, want):
-                _assert_field_bits(LinearField(lib, W, ()), x, row)
-                _assert_field_bits(LinearField(lib, W, (1,)), x[None],
-                                   row[None])
-            _assert_field_bits(LinearField(lib, W, (B,)), X, want)
-        Y = np.stack([X, X[::-1], X])
-        got = LinearField(lib, Ws, (L, B))(Y)
-        _assert_field_bits(LinearField(lib, Ws, (L, B)), Y,
-                           linear_field(lib, Ws)(Y))
-        _assert_same_bits(got[0], LinearField(lib, Ws[0, 0], (B,))(X))
-        assert not np.signbit(got[1, :, 0]).any()
+        is_exp = np.array([any(t.expflags) for t in lib.terms])
+        cases = [Ws,
+                 _supported(rng, Ws, rng.random(p) < 0.5),
+                 _supported(rng, Ws, np.arange(p) == rng.integers(p)),
+                 _supported(rng, Ws, np.zeros(p, dtype=bool)),
+                 _supported(rng, Ws, rng.random((L, 1, 1, p)) < 0.5)]
+        if is_exp.any():
+            cases.append(_supported(rng, Ws, is_exp))
+        for Ws in cases:
+            for W in Ws[:2, 0]:
+                want = linear_field(lib, W)(X)
+                for x, row in zip(X, want):
+                    _assert_field_bits(LinearField(lib, W, ()), x, row)
+                    _assert_field_bits(LinearField(lib, W, (1,)), x[None],
+                                       row[None])
+                _assert_field_bits(LinearField(lib, W, (B,)), X, want)
+            Y = np.stack([X, X[::-1], X])
+            got = LinearField(lib, Ws, (L, B))(Y)
+            _assert_field_bits(LinearField(lib, Ws, (L, B)), Y,
+                               linear_field(lib, Ws)(Y))
+            _assert_same_bits(got[0], LinearField(lib, Ws[0, 0], (B,))(X))
+            assert not np.signbit(got[1, :, 0]).any()
+            assert Ws.any() or not np.signbit(got).any()
+
+
+def test_linear_field_skips_columns_outside_the_support():
+    # A non-finite Theta in a column W does not use no longer makes h NaN:
+    # exp(x2) overflows at x2 = 800, and only the full fold multiplies it
+    # by 0.
+    lib = build_library(2, 1, True)
+    W = np.zeros((2, lib.size))
+    W[0, 1], W[1, 2] = 1.0, -2.0     # x1, -2 x2
+    x = np.array([0.5, 800.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(linear_field(lib, W)(x)).all()
+        _assert_field_bits(LinearField(lib, W, ()), x,
+                           np.array([0.5, -1600.0]))
 
 
 def test_numpy_sums_axis_0_as_a_left_fold():
@@ -494,8 +527,9 @@ def test_numpy_sums_axis_0_as_a_left_fold():
                 fold = fold + row
             out = np.empty(tail)
             _assert_same_bits(np.add.reduce(a, axis=0, out=out), fold)
-    _assert_same_bits(np.add.reduce(np.full((9, 2), -0.0), axis=0,
-                                    out=np.empty(2)), np.zeros(2))
+    for p in (0, 1, 9):     # a bound field's support may be 0 or 1 wide
+        _assert_same_bits(np.add.reduce(np.full((p, 2), -0.0), axis=0,
+                                        out=np.empty(2)), np.zeros(2))
 
 
 def test_bound_fields_integrate_with_the_reference_bits():
@@ -504,7 +538,9 @@ def test_bound_fields_integrate_with_the_reference_bits():
     # bit on every registry system (lotka_volterra's library has exp(x_i)
     # columns): the dataset batch (n, d) through the oracle, and the
     # stacked long-term-prediction batch (L, B, d) with (L, 1, d, p)
-    # weights, the truth and two dense perturbations of it.
+    # weights: the truth and two dense perturbations of it, and the truth
+    # and two sparse fits of other supports, the truth with one term
+    # zeroed and the truth with one extra term.
     rng = np.random.default_rng(12)
     n_steps, stride = 60, 20
     for name, sys in SYSTEMS.items():
@@ -521,17 +557,23 @@ def test_bound_fields_integrate_with_the_reference_bits():
                          n_steps, stride)
         np.testing.assert_array_equal(got, np.array(want), err_msg=name)
 
-        Ws = np.stack([truth] + [truth + 0.05 * rng.normal(size=truth.shape)
-                                 for _ in range(2)])[:, None]
-        Y = np.stack([X] * len(Ws))
-        total = n_steps * INTERNAL_DT
-        ref = linear_field(lib, Ws)
-        want = Y
-        for _ in range(n_steps):
-            want = rk4_step(ref, want, total / n_steps)
-        got = rk4_final(LinearField(lib, Ws, Y.shape[:-1]), Y, total,
-                        n_steps)
-        np.testing.assert_array_equal(got, want, err_msg=name)
+        zeroed, extra = truth.copy(), truth.copy()
+        zeroed[0, np.flatnonzero(truth[0])[0]] = 0.0
+        extra[-1, np.flatnonzero(truth[-1] == 0.0)[0]] = 0.05
+        stacks = [[truth] + [truth + 0.05 * rng.normal(size=truth.shape)
+                             for _ in range(2)],
+                  [truth, zeroed, extra]]
+        for Ws in map(np.stack, stacks):
+            Ws = Ws[:, None]
+            Y = np.stack([X] * len(Ws))
+            total = n_steps * INTERNAL_DT
+            ref = linear_field(lib, Ws)
+            want = Y
+            for _ in range(n_steps):
+                want = rk4_step(ref, want, total / n_steps)
+            got = rk4_final(LinearField(lib, Ws, Y.shape[:-1]), Y, total,
+                            n_steps)
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_make_dataset_matches_one_trajectory_at_a_time():

@@ -340,34 +340,38 @@ def test_loss_gradients_evaluate_theta_once_per_point_set(kind, monkeypatch):
 def test_igfe_value_gathers_its_jacobian_from_the_fields_theta(name,
                                                               monkeypatch):
     # The value path's flow_jvp evaluates Theta only in its bound field:
-    # the tangent's Jacobian gathers from the Theta the field just computed,
-    # so symmetry_loss("igfe") calls FunctionLibrary.evaluate not at all,
-    # and keeps the bits of evaluating Theta anew for each Jacobian.
+    # the tangent's Jacobian gathers from the full Theta at the field's
+    # last states, so symmetry_loss("igfe") calls FunctionLibrary.evaluate
+    # not at all, and keeps the bits of evaluating Theta anew for each
+    # Jacobian.  The field evaluates only W's support, a strict subset of
+    # the library for the truth, and all of it for a dense W.
     from symodes.dynamics import get_system
 
     system = get_system(name)
     rng = np.random.default_rng(23)
     lib = system.library()
-    model = SindyModel(lib, system.truth_matrix(lib) + 0.01 * rng.normal(
-        size=(system.dim, lib.size)))
+    truth = system.truth_matrix(lib)
     X = 0.5 + 0.3 * rng.random((16, system.dim))
-    evaluated = []
-    evaluate = FunctionLibrary.evaluate
+    evaluate, jacobian = FunctionLibrary.evaluate, FunctionLibrary.jacobian
+    for W in (truth + 0.01 * rng.normal(size=truth.shape), truth):
+        model = SindyModel(lib, W)
+        evaluated = []
 
-    def counted_evaluate(self, X, out=None):
-        evaluated.append(1)
-        return evaluate(self, X, out)
+        def counted_evaluate(self, X, out=None):
+            evaluated.append(1)
+            return evaluate(self, X, out)
 
-    monkeypatch.setattr(FunctionLibrary, "evaluate", counted_evaluate)
-    loss = symmetry_loss("igfe", model, system.generators, X, tau=0.3)
-    assert evaluated == []
-    jacobian = FunctionLibrary.jacobian
-    monkeypatch.setattr(FunctionLibrary, "jacobian",
-                        lambda self, X, theta=None: jacobian(self, X))
-    anew = symmetry_loss("igfe", model, system.generators, X, tau=0.3)
-    assert len(evaluated) == 4 * symmetry.FLOW_STEPS * len(system.generators)
-    assert np.float64(loss).view(np.uint64) == \
-        np.float64(anew).view(np.uint64)
+        monkeypatch.setattr(FunctionLibrary, "evaluate", counted_evaluate)
+        monkeypatch.setattr(FunctionLibrary, "jacobian", jacobian)
+        loss = symmetry_loss("igfe", model, system.generators, X, tau=0.3)
+        assert evaluated == []
+        monkeypatch.setattr(FunctionLibrary, "jacobian",
+                            lambda self, X, theta=None: jacobian(self, X))
+        anew = symmetry_loss("igfe", model, system.generators, X, tau=0.3)
+        assert len(evaluated) == (4 * symmetry.FLOW_STEPS
+                                  * len(system.generators))
+        assert np.float64(loss).view(np.uint64) == \
+            np.float64(anew).view(np.uint64)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
