@@ -198,14 +198,14 @@ class ThetaKernel:
 
     The caller writes the states batch-last into pad[1:] (pad[0] holds the
     ones), (1 + d,) + batch; steps() are the calls that fill theta,
-    (k,) + copies + batch, the library columns `columns` (all p of them by
-    default; otherwise increasing library indices) repeated along the
-    copies axes, allocating nothing, and a call runs them and returns
-    theta.  One gather takes every monomial's factors, and the exp
-    arguments, from pad; the factors are multiplied in place, left to right
-    as np.multiply.reduce does; the exp(x_i) rows, which follow the
-    monomials, come last.  A column's bits do not depend on which other
-    columns are evaluated with it.
+    (k,) + copies + batch, allocating nothing, and a call runs them and
+    returns theta.  Its rows are the k library columns `columns`, given in
+    increasing order (all p by default), repeated along the copies axes;
+    dynamics.LinearField passes its W's support.  One gather takes every
+    monomial's factors, and the exp arguments, from pad; the factors are
+    multiplied in place, left to right as np.multiply.reduce does; the
+    exp(x_i) rows, which follow the monomials, come last.  A column's bits
+    do not depend on which other columns are evaluated with it.
     """
 
     def __init__(self, lib, batch, copies=(), columns=None):
